@@ -15,9 +15,11 @@ Two halves (DESIGN.md §9):
   - a **collective/barrier-matching** checker (mismatched collective
     sequences, ``upc_notify``/``upc_wait`` misuse).
 
-* **Static lint** (:mod:`repro.analyze.lint`) — an AST pass over the
-  source tree with repo-specific rules, run as
-  ``python -m repro.analyze.lint src``.
+* **Static analyzer** (:mod:`repro.analyze.static`) — AST, control-flow
+  and dataflow passes over the source tree with repo-specific rules
+  (PGAS001-012), run as ``python -m repro.analyze.static`` (``--check``
+  gates against the committed baseline; ``--no-flow`` keeps to the
+  syntactic rules PGAS001-004/009).
 
 This package must stay importable with the standard library alone (plus
 :mod:`repro.obs`, which shares that constraint): the simulation kernel

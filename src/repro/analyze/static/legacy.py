@@ -1,9 +1,8 @@
 """PGAS001-004 re-homed onto the static framework (one walker).
 
-Same rules as the original flat linter (see the module docstring of
-:mod:`repro.analyze.lint`, which is now a thin shim over this pass):
-wall clocks in simulated code, dropped costed generators, literal
-metric names, ``SharedArray._data`` pokes.  Emits
+Same rules as the original flat linter: wall clocks in simulated code
+(the harness and the host profiler are exempt), dropped costed
+generators, literal metric names, ``SharedArray._data`` pokes.  Emits
 :class:`~repro.analyze.findings.StaticFinding` like every other pass,
 so the noqa mechanism, report and baseline are shared.
 """

@@ -58,9 +58,10 @@ class FaultError(SimulationError):
 class ExecutorError(SimulationError):
     """A campaign executor could not complete its batch.
 
-    Raised with a message naming the point whose worker died (instead of
-    an opaque ``BrokenProcessPool`` abort), or a journal that cannot be
-    resumed.
+    Raised for a journal that cannot be resumed (recorded for a
+    different campaign).  Failed points never raise it: the queue
+    executor retries them and then quarantines them into a degraded
+    report.
     """
 
 

@@ -34,11 +34,7 @@ __all__ = [
 from repro.harness.campaign import Campaign  # noqa: E402
 from repro.harness.cache import ResultCache  # noqa: E402
 from repro.harness.chaos import ChaosPlan  # noqa: E402
-from repro.harness.executor import (  # noqa: E402
-    ExecutorError,
-    InlineExecutor,
-    ParallelExecutor,
-)
+from repro.harness.executor import ExecutorError, InlineExecutor  # noqa: E402
 from repro.harness.journal import CampaignJournal, campaign_fingerprint  # noqa: E402
 from repro.harness.queue import QueueExecutor  # noqa: E402
 from repro.harness.spec import RunSpec, Sweep, threads_per_node  # noqa: E402
@@ -49,7 +45,6 @@ __all__ += [
     "ChaosPlan",
     "ExecutorError",
     "InlineExecutor",
-    "ParallelExecutor",
     "QueueExecutor",
     "ResultCache",
     "RunSpec",

@@ -62,7 +62,8 @@ def main(argv=None) -> int:
                              "repro.analyze.static --check)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run independent simulation points across N "
-                             "worker processes (default 1: inline, "
+                             "worker processes, retrying and quarantining "
+                             "failed points (default 1: inline, "
                              "byte-identical to the historical reports)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
@@ -72,11 +73,9 @@ def main(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache (every point runs)")
     parser.add_argument("--durable", action="store_true",
-                        help="run under the crash-safe queue executor: "
-                             "every point's lifecycle is journaled, failed "
-                             "points retry with backoff and are quarantined "
-                             "after --max-attempts, and an interrupted "
-                             "campaign can be finished with --resume")
+                        help="journal every point's lifecycle (also at "
+                             "--jobs 1), so an interrupted campaign can be "
+                             "finished with --resume")
     parser.add_argument("--resume", action="store_true",
                         help="replay the campaign journal and execute only "
                              "unfinished points (implies --durable); the "
@@ -88,18 +87,19 @@ def main(argv=None) -> int:
                              "as failed and retried/quarantined instead of "
                              "wedging the campaign (implies --durable)")
     parser.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                        help="attempts per point before the durable executor "
-                             "quarantines it as poison (default 3)")
+                        help="attempts per point before the queue executor "
+                             "(--jobs N or --durable) quarantines it as "
+                             "poison (default 3)")
     parser.add_argument("--lease-timeout", type=float, default=30.0,
                         metavar="SECONDS",
-                        help="heartbeat lease duration for durable workers; "
+                        help="heartbeat lease duration for worker processes; "
                              "a worker silent this long is presumed dead and "
                              "its point is reclaimed (default 30)")
     parser.add_argument("--journal-dir", metavar="DIR",
                         help="campaign journal location (default "
                              "<cache-dir>/journals)")
     parser.add_argument("--chaos", metavar="SPEC",
-                        help="seeded self-chaos injection for the durable "
+                        help="seeded self-chaos injection for the queue "
                              "executor (e.g. 'kill:point=1,attempt=1;"
                              "halt:after=2;seed=7'); implies --durable")
     parser.add_argument("--summary-dir", metavar="DIR",

@@ -3,33 +3,24 @@
 An executor takes an ordered list of :class:`~repro.harness.spec.RunSpec`
 points and returns their outputs **in the same order**, plus any
 observability payloads (tracers, sanitizer findings) the caller asked
-for.  Three implementations share that contract:
+for.  Two implementations share that contract:
 
 * :class:`InlineExecutor` — runs every point in this process, one after
   the other; exactly the historical harness behavior (and the only mode
   in which a single trace session spans the whole campaign in one go).
-* :class:`ParallelExecutor` — fans independent points across a
-  ``ProcessPoolExecutor``.  Each worker runs its point inside its own
-  trace/sanitize session and ships the finished tracers (detached from
-  their simulator) and finding rows back through pickle; the parent
-  re-numbers tracer ``run_index`` in spec order so exports are
-  byte-identical to an inline run.  A worker death surfaces as a clear
-  :class:`ExecutorError` naming the point instead of an opaque
-  ``BrokenProcessPool`` abort.
-* :class:`~repro.harness.queue.QueueExecutor` — the durable, lease-based
-  executor (``--durable``/``--resume``): journals every point's
-  lifecycle, retries failures with backoff, and quarantines poison
-  points instead of aborting the campaign.
+* :class:`~repro.harness.queue.QueueExecutor` — the multi-process
+  executor: up to ``jobs`` long-lived workers take points one after
+  another, under leases, retries with backoff and quarantine.  Given a
+  ``journal_dir`` it is also durable (``--durable``/``--resume``): every
+  point's lifecycle is journaled so a killed campaign can be resumed.
 
-Every simulation point is a pure function of its spec (fixed seeds, no
+:func:`make_executor` is the one place that picks between them.  Every
+simulation point is a pure function of its spec (fixed seeds, no
 wall-clock reads), so scheduling cannot change results — only wall time.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -40,7 +31,6 @@ __all__ = [
     "ExecutionBatch",
     "ExecutorError",
     "InlineExecutor",
-    "ParallelExecutor",
     "execute_spec",
     "make_executor",
 ]
@@ -148,128 +138,23 @@ class InlineExecutor:
         return batch
 
 
-def _compute_payload(spec: RunSpec, trace: bool, sanitize: bool,
-                     profile: bool = False) -> Dict[str, Any]:
-    """One spec inside its own trace/sanitize sessions → picklable payload.
+def make_executor(jobs: int = 1, *, durable: bool = False, journal_dir=None,
+                  resume: bool = False, point_timeout: Optional[float] = None,
+                  chaos: Optional[str] = None, **options):
+    """The executor for a campaign: inline, or the multi-process queue.
 
-    Tracers are detached from their simulator (``sim`` holds generators,
-    which cannot cross a process boundary) — everything the exporter and
-    critical-path attribution read is already materialized in the
-    tracer's own lists.
+    One job and no durability runs inline.  Anything else runs on
+    :class:`~repro.harness.queue.QueueExecutor`; ``resume``,
+    ``point_timeout`` and ``chaos`` imply ``durable``, and only a durable
+    run journals (under ``journal_dir``).  ``options`` pass through to
+    the queue (``max_attempts``, ``lease_s``, ``meta``...).
     """
-    from contextlib import ExitStack
+    durable = (durable or resume or point_timeout is not None
+               or chaos is not None)
+    if jobs <= 1 and not durable:
+        return InlineExecutor()
+    from repro.harness.queue import QueueExecutor
 
-    payload: Dict[str, Any] = {"tracers": [], "findings": [],
-                               "sanitizer_runs": 0, "profile": None}
-    with ExitStack() as stack:
-        san_session = None
-        if sanitize:
-            from repro.analyze.sanitizer import sanitize_session
-
-            san_session = stack.enter_context(sanitize_session(spec.app))
-        session = None
-        if trace:
-            from repro.obs.session import trace_session
-
-            session = stack.enter_context(trace_session(spec.app))
-        psession = None
-        if profile:
-            from repro.obs.profile import profile_session
-
-            psession = stack.enter_context(profile_session(spec.app))
-        payload["output"] = execute_spec(spec)
-    if psession is not None:
-        payload["profile"] = psession.snapshot()
-    if session is not None:
-        for tracer in session.tracers:
-            tracer.sim = None
-        payload["tracers"] = list(session.tracers)
-    if san_session is not None:
-        payload["findings"] = [f.row() for f in san_session.findings]
-        payload["sanitizer_runs"] = len(san_session.sanitizers)
-    return payload
-
-
-def _run_point(args) -> Dict[str, Any]:
-    """Pool-worker entry: compute one point, honoring any chaos plan.
-
-    The chaos hooks exist so the executor's own failure paths can be
-    tested deterministically: ``stall`` hangs before computing, ``fail``
-    raises after computing, ``kill`` SIGKILLs the worker right before it
-    would report — the BrokenProcessPool case a real OOM kill produces.
-    """
-    index, spec, trace, sanitize, profile, chaos_spec = args
-    plan = None
-    if chaos_spec:
-        from repro.harness.chaos import ChaosPlan
-
-        plan = ChaosPlan.parse(chaos_spec)
-    fingerprint = spec.fingerprint()
-    if plan is not None and plan.decide("stall", index, fingerprint, 1):
-        time.sleep(3600.0)
-    payload = _compute_payload(spec, trace, sanitize, profile)
-    if plan is not None:
-        if plan.decide("fail", index, fingerprint, 1):
-            raise RuntimeError(f"chaos: injected failure at point {index}")
-        if plan.decide("kill", index, fingerprint, 1):
-            os.kill(os.getpid(), signal.SIGKILL)
-    return payload
-
-
-class ParallelExecutor:
-    """Fan independent points across worker processes (``--jobs N``)."""
-
-    def __init__(self, jobs: int, chaos: Optional[str] = None):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.chaos = chaos
-
-    def run(self, specs: Sequence[RunSpec], *, trace: bool = False,
-            sanitize: bool = False, profile: bool = False) -> ExecutionBatch:
-        if not specs:
-            return ExecutionBatch()
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        batch = ExecutionBatch()
-        workers = min(self.jobs, len(specs))
-        tasks = [(i, spec, trace, sanitize, profile, self.chaos)
-                 for i, spec in enumerate(specs)]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # map() yields in submission order: deterministic spec
-                # order regardless of which worker finishes first.
-                for payload in pool.map(_run_point, tasks):
-                    batch.outputs.append(payload["output"])
-                    batch.tracers.extend(payload["tracers"])
-                    if trace:
-                        batch.tracer_groups.append(list(payload["tracers"]))
-                    if profile:
-                        batch.profiles.append(payload["profile"])
-                    batch.findings.extend(payload["findings"])
-                    batch.sanitizer_runs += payload["sanitizer_runs"]
-        except BrokenProcessPool as exc:
-            # map() has yielded every point before this one, so the
-            # first unreturned point is where the batch stopped; with
-            # several points in flight the dead worker held this point
-            # or one shortly after it.
-            index = len(batch.outputs)
-            spec = specs[min(index, len(specs) - 1)]
-            raise ExecutorError(
-                f"worker process died while running point {index} of "
-                f"{len(specs)} ({spec.app}, fingerprint "
-                f"{spec.fingerprint()[:12]}); the process pool cannot "
-                "recover — re-run with --durable to retry the point and "
-                "quarantine it if it keeps killing workers"
-            ) from exc
-        # Re-number the merged tracers so exports are byte-identical to
-        # an inline run's single session (run_index is lane-ordering).
-        for index, tracer in enumerate(batch.tracers, start=1):
-            tracer.run_index = index
-        return batch
-
-
-def make_executor(jobs: int = 1):
-    """The executor for a job count: inline at 1, process pool above."""
-    return InlineExecutor() if jobs <= 1 else ParallelExecutor(jobs)
+    return QueueExecutor(jobs, journal_dir=journal_dir if durable else None,
+                         resume=resume, point_timeout=point_timeout,
+                         chaos=chaos, **options)

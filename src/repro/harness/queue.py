@@ -1,9 +1,11 @@
-"""Durable, lease-based campaign executor: the crash-safe work queue.
+"""The multi-process campaign executor: a lease-based work queue.
 
 :class:`QueueExecutor` implements the executor contract of
-:mod:`repro.harness.executor` as a coordinator over single-point worker
-processes, journaling every lifecycle transition so a campaign survives
-anything short of losing the journal file itself:
+:mod:`repro.harness.executor` as a coordinator over up to ``jobs``
+long-lived worker processes.  Each worker takes points one after another
+over a duplex pipe, so the app packages are imported once per worker
+rather than once per point.  A worker that goes wrong is killed, joined
+and replaced, and only the point it held is retried:
 
 * **Leases + heartbeats** — each in-flight point is a time-limited lease;
   the worker's heartbeat thread refreshes it.  A worker that stops
@@ -14,13 +16,18 @@ anything short of losing the journal file itself:
   under exponential backoff with deterministic jitter (a pure hash of
   the point fingerprint and attempt number — no RNG state to lose).
 * **Quarantine** — a point that fails ``max_attempts`` times is poison:
-  it is journaled as quarantined and surfaced in the batch's
-  ``failures`` while every other point completes, so the campaign
-  degrades to a partial report instead of aborting.
-* **Resume** — ``resume=True`` replays the journal first and executes
-  only points without a durable ``done`` record; because every point is
-  a pure function of its spec, the resumed report is byte-identical to
-  an uninterrupted run.
+  it is surfaced in the batch's ``failures`` while every other point
+  completes, so the campaign degrades to a partial report instead of
+  aborting.
+
+Durability is the journal and nothing else.  With ``journal_dir`` set
+every lifecycle transition is appended to a
+:class:`~repro.harness.journal.CampaignJournal`, so a campaign survives
+anything short of losing the journal file itself, and ``resume=True``
+replays it first and executes only points without a durable ``done``
+record; because every point is a pure function of its spec, the resumed
+report is byte-identical to an uninterrupted run.  With
+``journal_dir=None`` (a plain ``--jobs N`` run) nothing is written.
 
 The coordinator is the journal's only writer (workers report through
 pipes), which keeps the journal single-writer-append-only — the same
@@ -39,15 +46,12 @@ import hashlib
 import heapq
 import os
 import signal
+import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.chaos import ChaosPlan
-from repro.harness.executor import (
-    ExecutionBatch,
-    ExecutorError,
-    _compute_payload,
-)
+from repro.harness.executor import ExecutionBatch, ExecutorError, execute_spec
 from repro.harness.journal import CampaignJournal, campaign_fingerprint
 from repro.harness.spec import RunSpec
 
@@ -55,85 +59,152 @@ __all__ = ["QueueExecutor"]
 
 #: Forever, as far as one campaign point is concerned.
 _STALL_S = 3600.0
+#: How long a worker that closed its pipe may take to exit before it is
+#: killed; its exit code is what says why it stopped.
+_EXIT_GRACE_S = 5.0
 
 
-def _queue_worker(conn, index: int, spec: RunSpec, attempt: int,
-                  trace: bool, sanitize: bool, profile: bool,
-                  chaos_spec: Optional[str], heartbeat_s: float) -> None:
-    """Worker entry: compute one point, heartbeat while doing so.
+def _compute_payload(spec: RunSpec, trace: bool, sanitize: bool,
+                     profile: bool) -> Dict[str, Any]:
+    """One spec inside its own trace/sanitize sessions → picklable payload.
 
-    All reporting goes through ``conn``: ``("hb", i)`` keeps the lease
-    alive, ``("result", i, payload)`` delivers the point, and
-    ``("error", i, msg)`` reports an app exception without killing the
-    campaign.  A worker that dies without sending anything is exactly
-    the failure the lease/retry machinery exists for.
+    Tracers are detached from their simulator (``sim`` holds generators,
+    which cannot cross a process boundary) — everything the exporter and
+    critical-path attribution read is already materialized in the
+    tracer's own lists.
     """
-    import threading
+    from contextlib import ExitStack
 
-    plan = ChaosPlan.parse(chaos_spec) if chaos_spec else None
-    fingerprint = spec.fingerprint()
-    stalled = plan is not None and plan.decide("stall", index, fingerprint,
-                                               attempt)
-    send_lock = threading.Lock()
-    stop = threading.Event()
-    if not stalled:
-        # Chaos "stall" suppresses heartbeats too: a hung interpreter
-        # does not run helper threads either, and the whole point is to
-        # force the coordinator down the lease-expiry path.
-        def _beat() -> None:
-            while not stop.wait(heartbeat_s):
-                try:
-                    with send_lock:
-                        conn.send(("hb", index))
-                except OSError:
-                    return
+    payload: Dict[str, Any] = {"tracers": [], "findings": [],
+                               "sanitizer_runs": 0, "profile": None}
+    with ExitStack() as stack:
+        san_session = None
+        if sanitize:
+            from repro.analyze.sanitizer import sanitize_session
 
-        threading.Thread(target=_beat, daemon=True).start()
-    try:
-        if stalled:
-            time.sleep(_STALL_S)
-        payload = _compute_payload(spec, trace, sanitize, profile)
-        if plan is not None:
-            if plan.decide("fail", index, fingerprint, attempt):
-                raise RuntimeError(f"chaos: injected failure at point {index}")
-            if plan.decide("kill", index, fingerprint, attempt):
-                os.kill(os.getpid(), signal.SIGKILL)
-            if plan.decide("drop", index, fingerprint, attempt):
-                return      # exit 0 with no result: a dropped message
-        with send_lock:
-            conn.send(("result", index, payload))
-    except BaseException as exc:
+            san_session = stack.enter_context(sanitize_session(spec.app))
+        session = None
+        if trace:
+            from repro.obs.session import trace_session
+
+            session = stack.enter_context(trace_session(spec.app))
+        psession = None
+        if profile:
+            from repro.obs.profile import profile_session
+
+            psession = stack.enter_context(profile_session(spec.app))
+        payload["output"] = execute_spec(spec)
+    if psession is not None:
+        payload["profile"] = psession.snapshot()
+    if session is not None:
+        for tracer in session.tracers:
+            tracer.sim = None
+        payload["tracers"] = list(session.tracers)
+    if san_session is not None:
+        payload["findings"] = [f.row() for f in san_session.findings]
+        payload["sanitizer_runs"] = len(san_session.sanitizers)
+    return payload
+
+
+def _heartbeat(conn, index: int, every: float, stop) -> None:
+    while not stop.wait(every):
         try:
-            with send_lock:
-                conn.send(("error", index, f"{type(exc).__name__}: {exc}"))
+            conn.send(("hb", index))
         except OSError:
-            pass
+            return
+
+
+def _queue_worker(conn, inherited, trace: bool, sanitize: bool, profile: bool,
+                  chaos_spec: Optional[str], heartbeat_s: float) -> None:
+    """Worker entry: compute points sent over ``conn`` until it closes.
+
+    Each task is ``(index, spec, attempt)``.  While computing, a
+    heartbeat thread sends ``("hb", index)`` to keep the lease alive;
+    the point ends in ``("result", index, payload)`` or, for an app
+    exception, ``("error", index, msg)`` — the worker then takes the
+    next point.  A worker that dies without reporting is exactly the
+    failure the lease/retry machinery exists for.
+
+    ``inherited`` are the coordinator's ends of this and the other
+    workers' pipes, copied by fork; closing them here lets every worker
+    see EOF as soon as the coordinator closes its end or dies.
+    """
+    for other in inherited:
+        other.close()
+    plan = ChaosPlan.parse(chaos_spec) if chaos_spec else None
+    try:
+        while True:
+            try:
+                index, spec, attempt = conn.recv()
+            except (EOFError, OSError):
+                return          # the coordinator is done or gone
+            fingerprint = spec.fingerprint()
+            strikes = set() if plan is None else {
+                kind for kind in ("stall", "fail", "kill", "drop")
+                if plan.decide(kind, index, fingerprint, attempt)}
+            # Chaos "stall" suppresses heartbeats too: a hung interpreter
+            # does not run helper threads either, and the whole point is
+            # to force the coordinator down the lease-expiry path.
+            stop = threading.Event()
+            beat = threading.Thread(target=_heartbeat, daemon=True,
+                                    args=(conn, index, heartbeat_s, stop))
+            if "stall" not in strikes:
+                beat.start()
+            try:
+                if "stall" in strikes:
+                    time.sleep(_STALL_S)
+                payload = _compute_payload(spec, trace, sanitize, profile)
+                if "fail" in strikes:
+                    raise RuntimeError(
+                        f"chaos: injected failure at point {index}")
+                if "kill" in strikes:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if "drop" in strikes:
+                    return      # exit 0 with no result: a dropped message
+                message = ("result", index, payload)
+            except Exception as exc:
+                message = ("error", index, f"{type(exc).__name__}: {exc}")
+            finally:
+                stop.set()
+                if beat.is_alive():
+                    beat.join()
+            try:
+                conn.send(message)
+            except OSError:
+                return
     finally:
-        stop.set()
         conn.close()
 
 
-class _Task:
-    """Coordinator-side state of one leased, in-flight point."""
+def _exit_cause(code: Optional[int]) -> str:
+    """Why a worker that closed its pipe without a result stopped."""
+    if code is None:
+        return "worker closed its pipe without reporting a result"
+    if code == 0:
+        return "worker exited without reporting a result"
+    if code < 0:
+        return f"worker killed by signal {signal.Signals(-code).name}"
+    return f"worker died (exit code {code})"
 
-    __slots__ = ("point", "attempt", "proc", "conn", "started", "last_hb",
-                 "result", "error")
 
-    def __init__(self, point: int, attempt: int, proc, conn, now: float):
-        self.point = point
-        self.attempt = attempt
+class _Worker:
+    """Coordinator-side state of one worker process and its current lease."""
+
+    __slots__ = ("proc", "conn", "point", "attempt", "started", "last_hb")
+
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
-        self.started = now
-        self.last_hb = now
-        self.result: Optional[Dict[str, Any]] = None
-        self.error: Optional[str] = None
+        self.point: Optional[int] = None      #: leased point; None when idle
+        self.attempt = 0
+        self.started = 0.0
+        self.last_hb = 0.0
 
 
 class QueueExecutor:
-    """Durable lease-based executor (``--durable``/``--resume``)."""
+    """Multi-process lease-based executor; durable when given a journal."""
 
-    def __init__(self, jobs: int = 1, *, journal_dir,
+    def __init__(self, jobs: int = 1, *, journal_dir=None,
                  resume: bool = False, max_attempts: int = 3,
                  lease_s: float = 30.0, heartbeat_s: Optional[float] = None,
                  point_timeout: Optional[float] = None,
@@ -148,6 +219,8 @@ class QueueExecutor:
             raise ValueError(f"lease_s must be > 0, got {lease_s}")
         if point_timeout is not None and point_timeout <= 0:
             raise ValueError(f"point_timeout must be > 0, got {point_timeout}")
+        if resume and journal_dir is None:
+            raise ValueError("resume=True needs a journal_dir to replay")
         self.jobs = jobs
         self.journal_dir = journal_dir
         self.resume = resume
@@ -187,16 +260,16 @@ class QueueExecutor:
             return batch
         specs = list(specs)
         total = len(specs)
-        fingerprint = campaign_fingerprint(specs)
-        plan = ChaosPlan.parse(self.chaos) if self.chaos else None
-        journal = CampaignJournal.for_campaign(self.journal_dir, fingerprint)
-
         outputs: List[Optional[Dict[str, Any]]] = [None] * total
         attempts = {i: 0 for i in range(total)}
         quarantined: Dict[int, str] = {}
         replayed = 0
 
-        with journal:
+        journal = None
+        if self.journal_dir is not None:
+            fingerprint = campaign_fingerprint(specs)
+            journal = CampaignJournal.for_campaign(self.journal_dir,
+                                                   fingerprint)
             if self.resume and journal.exists:
                 state = journal.replay()
                 header = state.header
@@ -227,10 +300,14 @@ class QueueExecutor:
                                 "points": total,
                                 "version": _package_version(),
                                 **self.meta})
-            pending = [i for i in range(total)
-                       if outputs[i] is None and i not in quarantined]
-            results = self._drain(specs, pending, attempts, journal, plan,
+        pending = [i for i in range(total)
+                   if outputs[i] is None and i not in quarantined]
+        try:
+            results = self._drain(specs, pending, attempts, journal,
                                   trace, sanitize, profile, quarantined)
+        finally:
+            if journal is not None:
+                journal.close()
 
         tracers: List[Any] = []
         findings: List[Dict[str, Any]] = []
@@ -253,6 +330,8 @@ class QueueExecutor:
                 batch.profiles.append(payload["profile"])
             findings.extend(payload["findings"])
             batch.sanitizer_runs += payload["sanitizer_runs"]
+        # Re-number the merged tracers so exports are byte-identical to
+        # an inline run's single session (run_index is lane-ordering).
         for index, tracer in enumerate(tracers, start=1):
             tracer.run_index = index
         batch.outputs = outputs
@@ -267,7 +346,7 @@ class QueueExecutor:
         ]
         return batch
 
-    def _drain(self, specs, pending, attempts, journal, plan,
+    def _drain(self, specs, pending, attempts, journal,
                trace, sanitize, profile,
                quarantined) -> Dict[int, Dict[str, Any]]:
         """Run every pending point to done or quarantine; the inner loop."""
@@ -275,121 +354,146 @@ class QueueExecutor:
         from multiprocessing.connection import wait as conn_wait
 
         ctx = mp.get_context()
+        plan = ChaosPlan.parse(self.chaos) if self.chaos else None
+        record = journal.append if journal is not None else (lambda event: None)
         results: Dict[int, Dict[str, Any]] = {}
         fresh_done = 0
         ready: List[tuple] = []     # (not_before, point, attempt)
         for i in pending:
             heapq.heappush(ready, (0.0, i, attempts[i] + 1))
-        inflight: Dict[Any, _Task] = {}
+        workers: Dict[Any, _Worker] = {}     # by the coordinator's conn
 
-        def launch(point: int, attempt: int) -> None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
+        def spawn() -> _Worker:
+            parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_queue_worker,
-                args=(child_conn, point, specs[point], attempt, trace,
-                      sanitize, profile, self.chaos, self.heartbeat_s),
+                args=(child_conn, [*workers, parent_conn], trace, sanitize,
+                      profile, self.chaos, self.heartbeat_s),
                 daemon=True,
             )
             proc.start()
             child_conn.close()
+            workers[parent_conn] = _Worker(proc, parent_conn)
+            return workers[parent_conn]
+
+        def lease(worker: _Worker, point: int, attempt: int) -> None:
             attempts[point] = attempt
-            journal.append({"e": "lease", "p": point, "attempt": attempt,
-                            "pid": proc.pid, "lease_s": self.lease_s})
-            inflight[parent_conn] = _Task(point, attempt, proc, parent_conn,
-                                          time.monotonic())
-
-        def finish(task: _Task) -> None:
-            nonlocal fresh_done
-            del inflight[task.conn]
+            record({"e": "lease", "p": point, "attempt": attempt,
+                    "pid": worker.proc.pid, "lease_s": self.lease_s})
+            worker.point, worker.attempt = point, attempt
+            worker.started = worker.last_hb = time.monotonic()
             try:
-                task.conn.close()
+                worker.conn.send((point, specs[point], attempt))
             except OSError:
-                pass
-            if task.proc.is_alive():
-                task.proc.kill()
-            task.proc.join(5.0)
-            if task.result is not None:
-                results[task.point] = task.result
-                journal.append({"e": "done", "p": task.point,
-                                "attempt": task.attempt,
-                                "output": task.result["output"]})
-                fresh_done += 1
-                if (plan is not None and plan.halt_after is not None
-                        and fresh_done >= plan.halt_after):
-                    # Chaos "halt": die exactly like a machine reboot
-                    # would — mid-campaign, journal intact, no cleanup.
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return
-            error = task.error
-            if error is None:
-                code = task.proc.exitcode
-                if code == 0:
-                    error = "worker exited without reporting a result"
-                elif code is not None and code < 0:
-                    error = (f"worker killed by signal "
-                             f"{signal.Signals(-code).name}")
-                else:
-                    error = f"worker died (exit code {code})"
-            journal.append({"e": "failed", "p": task.point,
-                            "attempt": task.attempt, "error": error})
-            if task.attempt >= self.max_attempts:
-                journal.append({"e": "quarantined", "p": task.point,
-                                "attempt": task.attempt})
-                quarantined[task.point] = error
-            else:
-                delay = self.backoff_s(specs[task.point].fingerprint(),
-                                       task.attempt)
-                heapq.heappush(ready, (time.monotonic() + delay, task.point,
-                                       task.attempt + 1))
+                pass        # a dead worker reads as EOF in the loop below
 
-        while ready or inflight:
-            now = time.monotonic()
-            while (ready and len(inflight) < self.jobs
-                   and ready[0][0] <= now):
-                _, point, attempt = heapq.heappop(ready)
-                launch(point, attempt)
-            deadlines = []
-            if ready:
-                deadlines.append(ready[0][0])
-            for task in inflight.values():
-                deadlines.append(task.last_hb + self.lease_s)
-                if self.point_timeout is not None:
-                    deadlines.append(task.started + self.point_timeout)
-            now = time.monotonic()
-            timeout = min(deadlines) - now if deadlines else 0.05
-            timeout = max(0.0, min(timeout, 0.25))
-            if inflight:
-                for conn in conn_wait(list(inflight), timeout):
-                    task = inflight.get(conn)
-                    if task is None:
+        def stop(worker: _Worker, kill: bool = False) -> str:
+            """Close and join one worker, killing it now or after a grace.
+
+            Returns why it stopped.  For a worker that closed its pipe on
+            its own the exit code decides, once the process had the grace
+            period to exit — killing it first would misreport a clean
+            exit as SIGKILL.
+            """
+            del workers[worker.conn]
+            worker.conn.close()
+            if kill:
+                worker.proc.kill()
+            worker.proc.join(_EXIT_GRACE_S)
+            cause = _exit_cause(worker.proc.exitcode)
+            if worker.proc.is_alive():
+                worker.proc.kill()
+                worker.proc.join()
+            return cause
+
+        def failed(point: int, attempt: int, error: str) -> None:
+            record({"e": "failed", "p": point, "attempt": attempt,
+                    "error": error})
+            if attempt >= self.max_attempts:
+                record({"e": "quarantined", "p": point, "attempt": attempt})
+                quarantined[point] = error
+            else:
+                delay = self.backoff_s(specs[point].fingerprint(), attempt)
+                heapq.heappush(ready, (time.monotonic() + delay, point,
+                                       attempt + 1))
+
+        def done(worker: _Worker, payload: Dict[str, Any]) -> None:
+            nonlocal fresh_done
+            point = worker.point
+            worker.point = None
+            results[point] = payload
+            record({"e": "done", "p": point, "attempt": worker.attempt,
+                    "output": payload["output"]})
+            fresh_done += 1
+            if (plan is not None and plan.halt_after is not None
+                    and fresh_done >= plan.halt_after):
+                # Chaos "halt": die exactly like a machine reboot would —
+                # mid-campaign, journal intact, no cleanup.
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        try:
+            while ready or any(w.point is not None for w in workers.values()):
+                now = time.monotonic()
+                while ready and ready[0][0] <= now:
+                    idle = next((w for w in workers.values()
+                                 if w.point is None), None)
+                    if idle is None:
+                        if len(workers) >= self.jobs:
+                            break
+                        idle = spawn()
+                    _, point, attempt = heapq.heappop(ready)
+                    lease(idle, point, attempt)
+                busy = [w for w in workers.values() if w.point is not None]
+                # A due point waits for a free worker, not for the clock.
+                deadlines = ([ready[0][0]] if ready and len(busy) < self.jobs
+                             else [])
+                for worker in busy:
+                    deadlines.append(worker.last_hb + self.lease_s)
+                    if self.point_timeout is not None:
+                        deadlines.append(worker.started + self.point_timeout)
+                timeout = min(deadlines) - time.monotonic() if deadlines else 0.05
+                timeout = max(0.0, min(timeout, 0.25))
+                if workers:
+                    for conn in conn_wait(list(workers), timeout):
+                        worker = workers[conn]
+                        try:
+                            message = conn.recv()
+                        except (EOFError, OSError):
+                            cause = stop(worker)
+                            if worker.point is not None:
+                                failed(worker.point, worker.attempt, cause)
+                            continue
+                        kind, index = message[0], message[1]
+                        if index != worker.point:
+                            continue        # stale: not the current lease
+                        if kind == "hb":
+                            worker.last_hb = time.monotonic()
+                        elif kind == "result":
+                            done(worker, message[2])
+                        elif kind == "error":
+                            # An app exception leaves the worker healthy.
+                            worker.point = None
+                            failed(index, worker.attempt, message[2])
+                elif timeout > 0:
+                    time.sleep(timeout)
+                now = time.monotonic()
+                for worker in list(workers.values()):
+                    if worker.point is None:
                         continue
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        finish(task)       # worker gone without a result
+                    if (self.point_timeout is not None
+                            and now - worker.started > self.point_timeout):
+                        error = (f"point timeout: exceeded "
+                                 f"{self.point_timeout:g}s wall clock")
+                    elif now - worker.last_hb > self.lease_s:
+                        error = (f"lease expired: no heartbeat for "
+                                 f"{self.lease_s:g}s")
+                    else:
                         continue
-                    kind = message[0]
-                    if kind == "hb":
-                        task.last_hb = time.monotonic()
-                    elif kind == "result":
-                        task.result = message[2]
-                        finish(task)
-                    elif kind == "error":
-                        task.error = message[2]
-                        finish(task)
-            elif timeout > 0:
-                time.sleep(timeout)
-            now = time.monotonic()
-            for task in list(inflight.values()):
-                if (self.point_timeout is not None
-                        and now - task.started > self.point_timeout):
-                    task.error = (f"point timeout: exceeded "
-                                  f"{self.point_timeout:g}s wall clock")
-                    finish(task)
-                elif now - task.last_hb > self.lease_s:
-                    task.error = (f"lease expired: no heartbeat for "
-                                  f"{self.lease_s:g}s")
-                    finish(task)
+                    stop(worker, kill=True)
+                    failed(worker.point, worker.attempt, error)
+        finally:
+            for worker in list(workers.values()):
+                stop(worker, kill=worker.point is not None)
         return results
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -133,22 +134,23 @@ def run_experiment(
 
     ``jobs`` selects the executor: 1 runs every point inline (the
     historical behavior, byte-identical reports), >1 fans independent
-    points across a process pool.  ``cache_dir`` arms the
-    content-addressed result cache there (None disables caching);
-    already-computed points are then skipped and the hit/executed
-    counters surface on the result.  ``trace_path`` writes a Chrome
-    trace-event JSON covering every simulated program the experiment
-    ran; ``breakdown`` attaches the critical-path time attribution and
-    communication matrix to the result (rendered by
+    points across the queue executor's worker processes, which retry a
+    failed point and quarantine it after ``max_attempts``.
+    ``cache_dir`` arms the content-addressed result cache there (None
+    disables caching); already-computed points are then skipped and the
+    hit/executed counters surface on the result.  ``trace_path`` writes
+    a Chrome trace-event JSON covering every simulated program the
+    experiment ran; ``breakdown`` attaches the critical-path time
+    attribution and communication matrix to the result (rendered by
     :meth:`ExperimentResult.render`); ``sanitize`` arms the dynamic PGAS
     sanitizer (:mod:`repro.analyze`) and attaches its findings.  All
     default off, in which case neither a tracer nor a sanitizer is
     attached and the simulation runs at full speed.
 
     ``durable`` (implied by ``resume``, ``point_timeout``, or ``chaos``)
-    swaps in the crash-safe :class:`~repro.harness.queue.QueueExecutor`:
-    every point's lifecycle is journaled under ``journal_dir`` (default
-    ``<cache or .repro-cache>/journals``), failed points retry up to
+    runs the :class:`~repro.harness.queue.QueueExecutor` even at one job
+    and journals every point's lifecycle under ``journal_dir`` (default
+    ``<cache or .repro-cache>/journals``).  Failed points retry up to
     ``max_attempts`` times with backoff and are then quarantined,
     workers run under ``lease_timeout``-second heartbeat leases and an
     optional per-point ``point_timeout`` wall-clock limit, and
@@ -174,32 +176,21 @@ def run_experiment(
         raise ValueError(
             f"experiment {experiment_id!r} does not accept a --faults spec"
         )
-    cache = None
-    if cache_dir is not None:
-        from repro.harness.cache import ResultCache
-
-        cache = ResultCache(cache_dir)
+    from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
     from repro.harness.campaign import Campaign
+    from repro.harness.executor import make_executor
 
-    executor = None
-    durable = durable or resume or chaos is not None or point_timeout is not None
-    if durable:
-        import os
-
-        from repro.harness.cache import DEFAULT_CACHE_DIR
-        from repro.harness.queue import QueueExecutor
-
-        if journal_dir is None:
-            journal_dir = os.path.join(cache_dir or DEFAULT_CACHE_DIR,
-                                       "journals")
-        executor = QueueExecutor(
-            jobs=jobs, journal_dir=journal_dir, resume=resume,
-            max_attempts=max_attempts, lease_s=lease_timeout,
-            point_timeout=point_timeout, chaos=chaos,
-            meta={"experiment": experiment_id, "scale": scale},
-        )
-    campaign = Campaign(exp, scale=scale, faults=faults, jobs=jobs,
-                        cache=cache, executor=executor, chaos=chaos)
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    if journal_dir is None:
+        journal_dir = os.path.join(cache_dir or DEFAULT_CACHE_DIR, "journals")
+    executor = make_executor(
+        jobs, durable=durable, resume=resume, point_timeout=point_timeout,
+        chaos=chaos, max_attempts=max_attempts, lease_s=lease_timeout,
+        journal_dir=journal_dir,
+        meta={"experiment": experiment_id, "scale": scale},
+    )
+    campaign = Campaign(exp, scale=scale, faults=faults, cache=cache,
+                        executor=executor, chaos=chaos)
     trace = bool(trace_path) or breakdown or summary_dir is not None
     outcome = campaign.run(trace=trace, sanitize=sanitize,
                            profile=profile_dir is not None)

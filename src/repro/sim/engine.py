@@ -191,7 +191,7 @@ class Process(Awaitable):
     :class:`ProcessFailure` is thrown into the joiner.
     """
 
-    __slots__ = ("gen", "name", "_waiting_on")
+    __slots__ = ("gen", "name", "_waiting_on", "__weakref__")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
@@ -203,7 +203,7 @@ class Process(Awaitable):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Awaitable] = None
-        sim._register_process(self)
+        sim._live[self] = None
         if sim.tracer.enabled:
             sim.tracer.process_spawned(self)
         sim.schedule_after(0.0, self._step, None, None)
@@ -270,6 +270,15 @@ class Process(Awaitable):
             self.sim.schedule_after(0.0, self._step, None, exc)
         else:
             self.sim.schedule_after(0.0, self._step, awaited.value, None)
+
+    def _complete(self, value: Any = None,
+                  exc: Optional[BaseException] = None) -> None:
+        self.sim._live.pop(self, None)
+        super()._complete(value, exc)
+
+    def cancel(self) -> None:
+        self.sim._live.pop(self, None)
+        super().cancel()
 
     def kill(self) -> None:
         """Terminate the process without running any more of its code."""
@@ -353,7 +362,10 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self.failures: list[tuple[Process, BaseException]] = []
-        self._processes: list[Process] = []
+        #: Spawned processes that have not completed or been cancelled,
+        #: in spawn order (a dict used as an insertion-ordered set), so
+        #: engine state stays bounded by what is alive.
+        self._live: dict[Process, None] = {}
         #: Set to a callable to be notified of unhandled process failures.
         self.failure_hook: Optional[Callable[[Process, BaseException], None]] = None
         #: Observability sink; defaults to the shared no-op tracer so hook
@@ -474,9 +486,6 @@ class Simulator:
         if self.failure_hook is not None:
             self.failure_hook(process, exc)
 
-    def _register_process(self, process: Process) -> None:
-        self._processes.append(process)
-
     def forgive_failure(self, process: Process) -> None:
         """Drop recorded failures of ``process``: a supervisor handled them.
 
@@ -495,7 +504,7 @@ class Simulator:
         an injected fault or by a kill).  With events still pending the
         result is merely "not finished yet", not a diagnosis.
         """
-        return [p for p in self._processes if not p.done and not p.cancelled]
+        return list(self._live)
 
     def raise_failures(self, check_stalled: bool = False) -> None:
         """Re-raise the first unhandled process failure, if any.

@@ -1,14 +1,24 @@
-"""The static PGAS linter: each rule fires on its fixture, the repo is clean."""
+"""The legacy PGAS rules (PGAS001-004, PGAS009) of the static analyzer.
+
+Each rule fires on its fixture and the repo is clean, checked through
+the analyzer's flow-insensitive path (``flow=False``, the CLI's
+``--no-flow``): the rules that need no CFG or dataflow.
+"""
 
 from pathlib import Path
 
-from repro.analyze.lint import lint_paths, lint_source, main
+from repro.analyze.static import analyze_source, analyze_tree
+from repro.analyze.static.__main__ import main
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
+def findings(source, path="pkg/mod.py"):
+    return analyze_source(source, path, flow=False).findings
+
+
 def codes(source, path="pkg/mod.py"):
-    return [v.code for v in lint_source(source, path)]
+    return [f.rule for f in findings(source, path)]
 
 
 class TestPGAS001Wallclock:
@@ -86,23 +96,25 @@ class TestMechanics:
     def test_syntax_error_reported(self):
         assert codes("def f(:\n") == ["PGAS000"]
 
+    def test_unknown_noqa_id_flagged(self):
+        assert codes("x = 1  # noqa: PGAS999\n") == ["PGAS009"]
+
     def test_violation_str_is_clickable(self):
-        (v,) = lint_source("t = time.time()\n", "a/b.py")
-        assert str(v).startswith("a/b.py:1:")
-        assert "PGAS001" in str(v)
+        (f,) = findings("t = time.time()\n", "a/b.py")
+        assert str(f).startswith("a/b.py:1:")
+        assert "PGAS001" in str(f)
 
     def test_main_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("t = time.time()\n")
-        assert main([str(bad)]) == 1
+        assert main(["--no-flow", str(bad)]) == 1
         assert "PGAS001" in capsys.readouterr().out
         good = tmp_path / "good.py"
         good.write_text("x = 1\n")
-        assert main([str(good)]) == 0
+        assert main(["--no-flow", str(good)]) == 0
 
 
 class TestRepoIsClean:
     def test_src_tree_has_no_findings(self):
-        # the CI gate (`python -m repro.analyze.lint src`), as a test
-        violations = lint_paths([SRC / "repro"])
-        assert violations == []
+        # `python -m repro.analyze.static --no-flow src/repro`, as a test
+        assert analyze_tree(SRC / "repro", flow=False).findings == []

@@ -14,10 +14,10 @@ from repro.harness.campaign import Campaign
 from repro.harness.executor import (
     ExecutionBatch,
     InlineExecutor,
-    ParallelExecutor,
     execute_spec,
     make_executor,
 )
+from repro.harness.queue import QueueExecutor
 from repro.harness.reporting import ExperimentResult
 from repro.harness.runner import EXPERIMENTS, Experiment, get_experiment
 from repro.harness.spec import RunSpec
@@ -61,16 +61,24 @@ class TestExecuteSpec:
 
 
 class TestExecutors:
-    def test_make_executor_selects_by_jobs(self):
+    def test_make_executor_selects_by_jobs(self, tmp_path):
         assert isinstance(make_executor(1), InlineExecutor)
-        assert isinstance(make_executor(4), ParallelExecutor)
+        fanned = make_executor(4, journal_dir=tmp_path)
+        assert isinstance(fanned, QueueExecutor)
+        assert (fanned.jobs, fanned.journal_dir) == (4, None)
+        # any durability option picks the queue, journaling, at one job
+        for option in ({"durable": True}, {"resume": True},
+                       {"point_timeout": 5.0}, {"chaos": "drop:point=0"}):
+            durable = make_executor(1, journal_dir=tmp_path, **option)
+            assert isinstance(durable, QueueExecutor)
+            assert durable.journal_dir == tmp_path
 
     def test_parallel_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
-            ParallelExecutor(0)
+            QueueExecutor(0)
 
     def test_empty_batch(self):
-        for executor in (InlineExecutor(), ParallelExecutor(2)):
+        for executor in (InlineExecutor(), QueueExecutor(2)):
             batch = executor.run([])
             assert isinstance(batch, ExecutionBatch)
             assert batch.outputs == [] and batch.tracers == []
@@ -78,12 +86,12 @@ class TestExecutors:
     def test_parallel_outputs_in_spec_order(self):
         specs = _toy_experiment().points("quick")
         inline = InlineExecutor().run(specs)
-        parallel = ParallelExecutor(3).run(specs)
+        parallel = QueueExecutor(3).run(specs)
         assert parallel.outputs == inline.outputs
 
     def test_parallel_trace_renumbers_run_index(self):
         specs = _toy_experiment().points("quick")
-        batch = ParallelExecutor(2).run(specs, trace=True)
+        batch = QueueExecutor(2).run(specs, trace=True)
         assert [t.run_index for t in batch.tracers] == [1, 2, 3]
         assert all(t.sim is None for t in batch.tracers)
 
@@ -197,13 +205,15 @@ class TestCliCampaignFlags:
             self, tmp_path, capsys):
         from repro.harness.__main__ import main as cli_main
 
-        args = ["t3_1", "--cache-dir", str(tmp_path / "cache")]
-        assert cli_main(args) == 0
-        cold = capsys.readouterr().out
-        assert "Campaign: 4 point(s), 4 executed, 0 cache hit(s)" in cold
-        assert cli_main(args) == 0
-        warm = capsys.readouterr().out
-        assert "Campaign: 4 point(s), 0 executed, 4 cache hit(s)" in warm
+        for jobs in ("1", "2"):
+            args = ["t3_1", "--jobs", jobs,
+                    "--cache-dir", str(tmp_path / f"cache-{jobs}")]
+            assert cli_main(args) == 0
+            cold = capsys.readouterr().out
+            assert "Campaign: 4 point(s), 4 executed, 0 cache hit(s)" in cold
+            assert cli_main(args) == 0
+            warm = capsys.readouterr().out
+            assert "Campaign: 4 point(s), 0 executed, 4 cache hit(s)" in warm
 
     def test_parallel_cli_run(self, capsys):
         from repro.harness.__main__ import main as cli_main

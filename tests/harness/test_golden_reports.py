@@ -3,12 +3,13 @@
 ``tests/harness/golden/<eid>.md`` holds the exact ``render()`` output of
 every experiment at quick scale, captured from the harness *before* the
 campaign-engine refactor.  The campaign pipeline must reproduce those
-reports byte-for-byte at ``--jobs 1`` (no cache), and a process-pool run
-must produce the same ``ExperimentResult``.
+reports byte-for-byte at ``--jobs 1`` (no cache), and a multi-process
+run through the queue executor must produce the same
+``ExperimentResult``.
 
 This is the slowest test module in the suite (it re-runs every
-experiment once, plus f3_3/f4_6 in parallel); everything here is a hard
-acceptance criterion, not incidental coverage.
+experiment once, plus f3_3/f4_6/t3_1 at ``jobs=4``); everything here is
+a hard acceptance criterion, not incidental coverage.
 """
 
 from pathlib import Path
@@ -47,7 +48,7 @@ def test_jobs1_report_byte_identical_to_prerefactor_golden(eid, jobs1_result):
     assert jobs1_result(eid).render() == golden(eid)
 
 
-@pytest.mark.parametrize("eid", ["f4_6"])
+@pytest.mark.parametrize("eid", ["f4_6", "t3_1"])
 def test_parallel_produces_same_experiment_result(eid, jobs1_result):
     fanned = run_experiment(eid, scale="quick", jobs=4)
     assert fanned.to_dict() == jobs1_result(eid).to_dict()

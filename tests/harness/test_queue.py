@@ -7,14 +7,13 @@ on outputs identical to :class:`InlineExecutor` or degrades gracefully
 into quarantine.
 """
 
+import time
+
 import pytest
 
+from repro.harness import queue
 from repro.harness.campaign import Campaign
-from repro.harness.executor import (
-    ExecutorError,
-    InlineExecutor,
-    ParallelExecutor,
-)
+from repro.harness.executor import ExecutorError, InlineExecutor
 from repro.harness.journal import CampaignJournal, campaign_fingerprint
 from repro.harness.queue import QueueExecutor
 from repro.harness.reporting import ExperimentResult
@@ -30,6 +29,12 @@ def toy_specs(n=3):
                      tree="tiny")
         for t in (1, 2, 4)[:n]
     ]
+
+
+def more_specs():
+    """Six points: enough that two workers must each take several."""
+    return [spec.with_updates(steal_chunk=chunk)
+            for chunk in (4, 8) for spec in toy_specs()]
 
 
 def toy_experiment():
@@ -76,6 +81,10 @@ class TestValidation:
         batch = fast_queue(tmp_path).run([])
         assert batch.outputs == [] and batch.failures == []
 
+    def test_resume_needs_a_journal(self):
+        with pytest.raises(ValueError, match="journal_dir"):
+            QueueExecutor(2, resume=True)
+
 
 class TestHealthyCampaign:
     def test_outputs_match_inline(self, tmp_path):
@@ -103,6 +112,31 @@ class TestHealthyCampaign:
         # the journal was discarded and rewritten, not appended to
         assert len(journal_events(executor, specs, "done")) == 3
 
+    def test_workers_are_reused_across_points(self, tmp_path):
+        specs = more_specs()
+        executor = fast_queue(tmp_path)
+        batch = executor.run(specs)
+        assert batch.outputs == InlineExecutor().run(specs).outputs
+        leases = journal_events(executor, specs, "lease")
+        assert sorted(e["p"] for e in leases) == list(range(len(specs)))
+        assert len({e["pid"] for e in leases}) <= 2
+
+    def test_non_durable_run_writes_no_journal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        specs = toy_specs()
+        batch = QueueExecutor(2).run(specs)
+        assert batch.outputs == InlineExecutor().run(specs).outputs
+        assert list(tmp_path.iterdir()) == []
+
+    def test_jobs_run_through_the_runner_writes_no_journal(self, tmp_path):
+        from repro.harness.runner import run_experiment
+
+        cache_dir = tmp_path / "cache"
+        result = run_experiment("t3_1", jobs=2, cache_dir=str(cache_dir))
+        assert result.shape_ok
+        assert cache_dir.is_dir()
+        assert not (cache_dir / "journals").exists()
+
     def test_traced_run_ships_tracers_in_spec_order(self, tmp_path):
         specs = toy_specs()
         batch = fast_queue(tmp_path).run(specs, trace=True)
@@ -128,6 +162,55 @@ class TestRetries:
         failed = journal_events(executor, specs, "failed")
         assert any(e["p"] == 0 and "without reporting" in e["error"]
                    for e in failed)
+
+    def test_worker_lingering_after_closing_its_pipe_is_not_a_kill(
+            self, tmp_path, monkeypatch):
+        # A worker that has closed its pipe but not yet exited must be
+        # classified by its exit code, not SIGKILLed on the spot and
+        # then reported as killed.
+        def linger_then_exit(conn, *args):
+            conn.close()
+            time.sleep(0.5)
+
+        monkeypatch.setattr(queue, "_queue_worker", linger_then_exit)
+        specs = toy_specs(1)
+        executor = fast_queue(tmp_path, jobs=1, max_attempts=1)
+        batch = executor.run(specs)
+        assert batch.outputs == [None]
+        error = "worker exited without reporting a result"
+        assert batch.failures[0]["error"] == error
+        failed = journal_events(executor, specs, "failed")
+        assert [e["error"] for e in failed] == [error]
+
+    @pytest.mark.parametrize("chaos, options", [
+        ("kill:point=1,attempt=1", {}),
+        ("stall:point=1,attempt=1", {"lease_s": 0.75}),
+    ], ids=["killed", "stalled"])
+    def test_failed_worker_is_replaced(self, tmp_path, chaos, options):
+        specs = more_specs()
+        executor = fast_queue(tmp_path, chaos=chaos, **options)
+        batch = executor.run(specs)
+        assert batch.outputs == InlineExecutor().run(specs).outputs
+        leases = journal_events(executor, specs, "lease")
+        lost = next(i for i, e in enumerate(leases)
+                    if e["p"] == 1 and e["attempt"] == 1)
+        dead_pid = leases[lost]["pid"]
+        # the dead worker takes no further point, the lost point is
+        # retried elsewhere, and at most one replacement was started
+        assert all(e["pid"] != dead_pid for e in leases[lost + 1:])
+        assert any(e["p"] == 1 and e["attempt"] == 2 for e in leases)
+        assert len({e["pid"] for e in leases}) <= executor.jobs + 1
+
+    def test_app_exception_quarantines_in_a_plain_jobs_run(self):
+        # without a journal too: an app exception is retried and then
+        # quarantined instead of aborting the campaign
+        specs = [*toy_specs(2), RunSpec.make("nonesuch")]
+        batch = QueueExecutor(2, retry_base_s=0.01).run(specs)
+        assert batch.outputs[:2] == InlineExecutor().run(specs[:2]).outputs
+        assert batch.outputs[2] is None
+        (failure,) = batch.failures
+        assert failure["point"] == 2 and failure["attempts"] == 3
+        assert "no adapter" in failure["error"]
 
     def test_backoff_is_exponential_and_deterministic(self, tmp_path):
         executor = fast_queue(tmp_path, retry_base_s=1.0)
@@ -267,18 +350,4 @@ class TestResume:
         journal.append({"e": "campaign", "fp": "f" * 64, "points": 99})
         journal.close()
         with pytest.raises(ExecutorError, match="different campaign"):
-            executor.run(specs)
-
-
-class TestBrokenPoolSatellite:
-    def test_parallel_executor_reports_dead_worker_clearly(self):
-        specs = toy_specs()
-        executor = ParallelExecutor(2, chaos="kill:point=1,attempt=1")
-        with pytest.raises(ExecutorError, match="worker process died"):
-            executor.run(specs)
-
-    def test_error_names_the_point_and_suggests_durable(self):
-        specs = toy_specs()
-        executor = ParallelExecutor(2, chaos="kill:point=0,attempt=1")
-        with pytest.raises(ExecutorError, match="--durable"):
             executor.run(specs)

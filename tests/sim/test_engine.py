@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -220,6 +223,25 @@ class TestProcesses:
         sim.spawn(b(sim))
         sim.run()
         assert order == ["a1", "b1", "a2", "b2"]
+
+    def test_engine_keeps_no_finished_process(self, sim):
+        # engine state is bounded by what is alive: a finished, killed
+        # or cancelled process is not retained by the simulator
+        def body(sim):
+            yield sim.delay(1.0)
+
+        finished = weakref.ref(sim.spawn(body(sim)))
+        killed = sim.spawn(body(sim))
+        cancelled = sim.spawn(body(sim))
+        refs = [finished, weakref.ref(killed), weakref.ref(cancelled)]
+        cancelled.cancel()
+        sim.run(until=0.5)
+        killed.kill()
+        del killed, cancelled
+        sim.run()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert sim.stalled_processes() == []
 
 
 class TestEvents:
