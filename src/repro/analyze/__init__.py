@@ -3,9 +3,10 @@
 Two halves (DESIGN.md §9):
 
 * **Dynamic sanitizer** (:mod:`repro.analyze.sanitizer`) — a run-time
-  checker armed with :func:`sanitize_session`, off by default and
-  near-zero-cost when off (the same NULL-object discipline as the
-  tracer).  Three checkers share one happens-before engine:
+  checker armed with ``repro.obs.session.session(label, sanitize=True)``,
+  off by default and near-zero-cost when off (the simulator keeps the
+  same disabled sink as for the tracer).  Three checkers share one
+  happens-before engine:
 
   - a vector-clock **data-race detector** over :class:`SharedArray`
     element/block accesses,
@@ -21,30 +22,11 @@ Two halves (DESIGN.md §9):
   gates against the committed baseline; ``--no-flow`` keeps to the
   syntactic rules PGAS001-004/009).
 
-This package must stay importable with the standard library alone (plus
-:mod:`repro.obs`, which shares that constraint): the simulation kernel
-imports :data:`NULL_SANITIZER` at module load.
+The simulation kernel never imports this package: the instrumentation
+session loads the sanitizer only when a session arms it.
 """
 
 from repro.analyze.findings import Finding, render_findings
-from repro.analyze.sanitizer import (
-    NULL_SANITIZER,
-    NullSanitizer,
-    SanitizeSession,
-    Sanitizer,
-    active_sanitize_session,
-    sanitize_session,
-    sanitizer_for,
-)
+from repro.analyze.sanitizer import Sanitizer
 
-__all__ = [
-    "Finding",
-    "render_findings",
-    "NULL_SANITIZER",
-    "NullSanitizer",
-    "Sanitizer",
-    "SanitizeSession",
-    "active_sanitize_session",
-    "sanitize_session",
-    "sanitizer_for",
-]
+__all__ = ["Finding", "render_findings", "Sanitizer"]

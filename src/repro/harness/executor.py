@@ -6,8 +6,7 @@ observability payloads (tracers, sanitizer findings) the caller asked
 for.  Two implementations share that contract:
 
 * :class:`InlineExecutor` — runs every point in this process, one after
-  the other; exactly the historical harness behavior (and the only mode
-  in which a single trace session spans the whole campaign in one go).
+  the other.
 * :class:`~repro.harness.queue.QueueExecutor` — the multi-process
   executor: up to ``jobs`` long-lived workers take points one after
   another, under leases, retries with backoff and quarantine.  Given a
@@ -17,6 +16,11 @@ for.  Two implementations share that contract:
 :func:`make_executor` is the one place that picks between them.  Every
 simulation point is a pure function of its spec (fixed seeds, no
 wall-clock reads), so scheduling cannot change results — only wall time.
+
+Both executors compute a point the same way, :func:`compute_payload`
+(inside its own instrumentation session), and assemble the batch the
+same way, :func:`assemble_batch`; only where and when points run
+differs.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ __all__ = [
     "ExecutionBatch",
     "ExecutorError",
     "InlineExecutor",
+    "assemble_batch",
+    "compute_payload",
     "execute_spec",
     "make_executor",
 ]
@@ -71,9 +77,10 @@ class ExecutionBatch:
     #: Empty unless the batch was traced; a quarantined point's slot is
     #: an empty list.  The campaign summarizer keys on this grouping.
     tracer_groups: List[List[Any]] = field(default_factory=list)
-    #: per-point profile snapshots (:meth:`ProfileSession.snapshot`), in
-    #: spec order; empty unless the batch was profiled.  A quarantined
-    #: point's slot is None — merged profiles cover only healthy points.
+    #: per-point profile snapshots (:meth:`Session.snapshot
+    #: <repro.obs.session.Session.snapshot>`), in spec order; empty unless
+    #: the batch was profiled.  A quarantined point's slot is None —
+    #: merged profiles cover only healthy points.
     profiles: List[Optional[Dict[str, Any]]] = field(default_factory=list)
     #: sanitizer finding rows, in spec order (empty unless sanitized).
     findings: List[Dict[str, Any]] = field(default_factory=list)
@@ -88,54 +95,69 @@ class ExecutionBatch:
     replayed: int = 0
 
 
+def compute_payload(spec: RunSpec, trace: bool, sanitize: bool,
+                    profile: bool) -> Dict[str, Any]:
+    """One spec inside its own instrumentation session → picklable payload.
+
+    Tracers are detached from their simulator (``sim`` holds generators,
+    which cannot cross a process boundary) — everything the exporter and
+    critical-path attribution read is already materialized in the
+    tracer's own lists.
+    """
+    from repro.obs.session import session
+
+    with session(spec.app, trace=trace, sanitize=sanitize,
+                 profile=profile) as point:
+        output = execute_spec(spec)
+    for tracer in point.tracers:
+        tracer.sim = None
+    return {"output": output, "tracers": point.tracers,
+            "findings": [f.row() for f in point.findings],
+            "sanitizer_runs": len(point.sanitizers),
+            "profile": point.snapshot() if profile else None}
+
+
+def assemble_batch(payloads: Sequence[Optional[Dict[str, Any]]], *,
+                   trace: bool, profile: bool) -> ExecutionBatch:
+    """The batch of per-point payloads, in spec order; None = no result.
+
+    A point without a result keeps an empty tracer group and a None
+    profile, so merged artifacts cover only the healthy points.  The
+    merged tracers are re-numbered in spec order, so every executor
+    exports the same bytes (``run_index`` is lane ordering).
+    """
+    batch = ExecutionBatch()
+    for payload in payloads:
+        if payload is None:
+            batch.outputs.append(None)
+            if trace:
+                batch.tracer_groups.append([])
+            if profile:
+                batch.profiles.append(None)
+            continue
+        batch.outputs.append(payload["output"])
+        batch.tracers.extend(payload["tracers"])
+        if trace:
+            batch.tracer_groups.append(list(payload["tracers"]))
+        if profile:
+            batch.profiles.append(payload["profile"])
+        batch.findings.extend(payload["findings"])
+        batch.sanitizer_runs += payload["sanitizer_runs"]
+    for index, tracer in enumerate(batch.tracers, start=1):
+        tracer.run_index = index
+    return batch
+
+
 class InlineExecutor:
-    """Sequential in-process execution — the historical harness path."""
+    """Sequential in-process execution, one point after the other."""
 
     jobs = 1
 
     def run(self, specs: Sequence[RunSpec], *, trace: bool = False,
             sanitize: bool = False, profile: bool = False) -> ExecutionBatch:
-        from contextlib import ExitStack
-
-        batch = ExecutionBatch()
-        if not specs:
-            return batch
-        with ExitStack() as stack:
-            san_session = None
-            if sanitize:
-                from repro.analyze.sanitizer import sanitize_session
-
-                san_session = stack.enter_context(sanitize_session("campaign"))
-            session = None
-            if trace:
-                from repro.obs.session import trace_session
-
-                session = stack.enter_context(trace_session("campaign"))
-            bounds: List[int] = []
-            for spec in specs:
-                if profile:
-                    # One profile session *per point* (not per campaign,
-                    # unlike the trace session) so inline and parallel
-                    # batches merge to byte-identical cost profiles.
-                    from repro.obs.profile import profile_session
-
-                    with profile_session(spec.app) as psession:
-                        batch.outputs.append(execute_spec(spec))
-                    batch.profiles.append(psession.snapshot())
-                else:
-                    batch.outputs.append(execute_spec(spec))
-                if session is not None:
-                    bounds.append(len(session.tracers))
-        if session is not None:
-            batch.tracers = list(session.tracers)
-            lo = 0
-            for hi in bounds:
-                batch.tracer_groups.append(batch.tracers[lo:hi])
-                lo = hi
-        if san_session is not None:
-            batch.findings = [f.row() for f in san_session.findings]
-            batch.sanitizer_runs = len(san_session.sanitizers)
-        return batch
+        return assemble_batch(
+            [compute_payload(spec, trace, sanitize, profile) for spec in specs],
+            trace=trace, profile=profile)
 
 
 def make_executor(jobs: int = 1, *, durable: bool = False, journal_dir=None,

@@ -51,7 +51,12 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.chaos import ChaosPlan
-from repro.harness.executor import ExecutionBatch, ExecutorError, execute_spec
+from repro.harness.executor import (
+    ExecutionBatch,
+    ExecutorError,
+    assemble_batch,
+    compute_payload,
+)
 from repro.harness.journal import CampaignJournal, campaign_fingerprint
 from repro.harness.spec import RunSpec
 
@@ -62,48 +67,6 @@ _STALL_S = 3600.0
 #: How long a worker that closed its pipe may take to exit before it is
 #: killed; its exit code is what says why it stopped.
 _EXIT_GRACE_S = 5.0
-
-
-def _compute_payload(spec: RunSpec, trace: bool, sanitize: bool,
-                     profile: bool) -> Dict[str, Any]:
-    """One spec inside its own trace/sanitize sessions → picklable payload.
-
-    Tracers are detached from their simulator (``sim`` holds generators,
-    which cannot cross a process boundary) — everything the exporter and
-    critical-path attribution read is already materialized in the
-    tracer's own lists.
-    """
-    from contextlib import ExitStack
-
-    payload: Dict[str, Any] = {"tracers": [], "findings": [],
-                               "sanitizer_runs": 0, "profile": None}
-    with ExitStack() as stack:
-        san_session = None
-        if sanitize:
-            from repro.analyze.sanitizer import sanitize_session
-
-            san_session = stack.enter_context(sanitize_session(spec.app))
-        session = None
-        if trace:
-            from repro.obs.session import trace_session
-
-            session = stack.enter_context(trace_session(spec.app))
-        psession = None
-        if profile:
-            from repro.obs.profile import profile_session
-
-            psession = stack.enter_context(profile_session(spec.app))
-        payload["output"] = execute_spec(spec)
-    if psession is not None:
-        payload["profile"] = psession.snapshot()
-    if session is not None:
-        for tracer in session.tracers:
-            tracer.sim = None
-        payload["tracers"] = list(session.tracers)
-    if san_session is not None:
-        payload["findings"] = [f.row() for f in san_session.findings]
-        payload["sanitizer_runs"] = len(san_session.sanitizers)
-    return payload
 
 
 def _heartbeat(conn, index: int, every: float, stop) -> None:
@@ -153,7 +116,7 @@ def _queue_worker(conn, inherited, trace: bool, sanitize: bool, profile: bool,
             try:
                 if "stall" in strikes:
                     time.sleep(_STALL_S)
-                payload = _compute_payload(spec, trace, sanitize, profile)
+                payload = compute_payload(spec, trace, sanitize, profile)
                 if "fail" in strikes:
                     raise RuntimeError(
                         f"chaos: injected failure at point {index}")
@@ -255,9 +218,8 @@ class QueueExecutor:
 
     def run(self, specs: Sequence[RunSpec], *, trace: bool = False,
             sanitize: bool = False, profile: bool = False) -> ExecutionBatch:
-        batch = ExecutionBatch()
         if not specs:
-            return batch
+            return ExecutionBatch()
         specs = list(specs)
         total = len(specs)
         outputs: List[Optional[Dict[str, Any]]] = [None] * total
@@ -309,34 +271,11 @@ class QueueExecutor:
             if journal is not None:
                 journal.close()
 
-        tracers: List[Any] = []
-        findings: List[Dict[str, Any]] = []
-        for i in range(total):
-            payload = results.get(i)
-            if payload is None:
-                if trace:
-                    batch.tracer_groups.append([])
-                if profile:
-                    # Quarantined/replayed-missing points contribute no
-                    # profile; the merged artifact covers only the
-                    # healthy remainder.
-                    batch.profiles.append(None)
-                continue
-            outputs[i] = payload["output"]
-            tracers.extend(payload["tracers"])
-            if trace:
-                batch.tracer_groups.append(list(payload["tracers"]))
-            if profile:
-                batch.profiles.append(payload["profile"])
-            findings.extend(payload["findings"])
-            batch.sanitizer_runs += payload["sanitizer_runs"]
-        # Re-number the merged tracers so exports are byte-identical to
-        # an inline run's single session (run_index is lane-ordering).
-        for index, tracer in enumerate(tracers, start=1):
-            tracer.run_index = index
-        batch.outputs = outputs
-        batch.tracers = tracers
-        batch.findings = findings
+        batch = assemble_batch([results.get(i) for i in range(total)],
+                               trace=trace, profile=profile)
+        for i, output in enumerate(outputs):
+            if output is not None:      # replayed from the journal
+                batch.outputs[i] = output
         batch.replayed = replayed
         batch.failures = [
             {"point": i, "app": specs[i].app,

@@ -18,7 +18,8 @@ Design notes
 * Cancellation is cooperative: ``Delay.cancel()`` and ``Event.cancel()``
   mark the awaitable dead so a pending heap entry becomes a no-op.  This
   is what lets ``AnyOf`` race a timeout against an event without leaking
-  callbacks.
+  callbacks.  ``Process.kill()`` withdraws only the killed process's own
+  wakeup, so other waiters on the same awaitable are unaffected.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.analyze.sanitizer import NULL_SANITIZER
 from repro.obs import names as _metric_names
-from repro.obs.profile.cost import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.session import NULL_SINK
 
 __all__ = [
     "Awaitable",
@@ -204,8 +203,6 @@ class Process(Awaitable):
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Awaitable] = None
         sim._live[self] = None
-        if sim.tracer.enabled:
-            sim.tracer.process_spawned(self)
         sim.schedule_after(0.0, self._step, None, None)
 
     @property
@@ -253,15 +250,11 @@ class Process(Awaitable):
                 "Awaitable or a number of seconds"
             )
         self._waiting_on = target
-        if self.sim.tracer.enabled:
-            self.sim.tracer.process_blocked(self, target)
         target.add_callback(self._resume)
 
     def _resume(self, awaited: Awaitable) -> None:
         if self._done or self._cancelled:
             return
-        if self.sim.tracer.enabled:
-            self.sim.tracer.process_resumed(self)
         if awaited.exc is not None:
             if isinstance(awaited, Process):
                 exc: BaseException = ProcessFailure(awaited, awaited.exc)
@@ -284,8 +277,16 @@ class Process(Awaitable):
         """Terminate the process without running any more of its code."""
         if self._done:
             return
-        if self._waiting_on is not None:
-            self._waiting_on.cancel()
+        target = self._waiting_on
+        if target is not None:
+            # Withdraw only this process's wakeup: other waiters on the
+            # same event, or other joiners of the same process, keep
+            # theirs.  A passive awaitable nobody waits on any more is
+            # cancelled so its pending completion becomes a no-op.
+            if self._resume in target._callbacks:
+                target._callbacks.remove(self._resume)
+            if not target._callbacks and not isinstance(target, Process):
+                target.cancel()
         if self.sim.tracer.enabled:
             self.sim.tracer.process_killed(self)
         self.gen.close()
@@ -368,16 +369,13 @@ class Simulator:
         self._live: dict[Process, None] = {}
         #: Set to a callable to be notified of unhandled process failures.
         self.failure_hook: Optional[Callable[[Process, BaseException], None]] = None
-        #: Observability sink; defaults to the shared no-op tracer so hook
-        #: sites can stay unconditional (`if self.tracer.enabled:` guards
-        #: the hot paths).
-        self.tracer = NULL_TRACER
-        #: Correctness sink (repro.analyze); same NULL-object discipline —
-        #: `if self.sanitizer.enabled:` keeps unsanitized runs at full speed.
-        self.sanitizer = NULL_SANITIZER
-        #: Cost profiler (repro.obs.profile); third consumer of the same
-        #: NULL-object discipline — unprofiled runs pay one guarded branch.
-        self.profiler = NULL_PROFILER
+        #: Instrumentation sinks: tracer, sanitizer and cost profiler.
+        #: All three default to the shared disabled sink; an armed
+        #: session (repro.obs.session) replaces them, and hot paths guard
+        #: with one `if self.tracer.enabled:`-style branch.
+        self.tracer = NULL_SINK
+        self.sanitizer = NULL_SINK
+        self.profiler = NULL_SINK
         #: Engine self-measurement, tallied only while a tracer is armed
         #: (the untraced hot path keeps its single-branch guard) and
         #: published as counter samples by ``Tracer.finalize``.

@@ -8,13 +8,13 @@ deadlock/raise to the user.
 
 import pytest
 
-from repro.analyze import sanitize_session
+from repro.obs.session import session
 from repro.errors import UpcError
 from tests.upc.conftest import make_program
 
 
-def coll_findings(session):
-    return [f for f in session.findings if f.checker == "collective"]
+def coll_findings(sess):
+    return [f for f in sess.findings if f.checker == "collective"]
 
 
 class TestBarrierMatching:
@@ -25,11 +25,11 @@ class TestBarrierMatching:
             else:
                 yield from upc.compute(0.0)
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2)
             with pytest.raises(UpcError, match="deadlock"):
                 prog.run(main)
-        findings = coll_findings(session)
+        findings = coll_findings(sess)
         assert len(findings) == 1
         assert "never completed" in findings[0].message
         assert "[0] arrived" in findings[0].message
@@ -39,7 +39,7 @@ class TestBarrierMatching:
         # Count mismatches without a stuck generation can't happen
         # through the real barrier (the short thread would block), so
         # drive the checker directly at the unit level.
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2)
             san = prog.sim.sanitizer
             key = ("team", "world")
@@ -49,7 +49,7 @@ class TestBarrierMatching:
             san.barrier_arrive(key, 1, (0, 1))
             san.barrier_pass(key, 1)
             san.finalize()
-        findings = coll_findings(session)
+        findings = coll_findings(sess)
         assert len(findings) == 1
         assert "mismatched" in findings[0].message
         assert "{0: 2, 1: 1}" in findings[0].message
@@ -59,10 +59,10 @@ class TestBarrierMatching:
             for _ in range(3):
                 yield from upc.barrier()
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=4)
             prog.run(main)
-        assert session.findings == []
+        assert sess.findings == []
 
 
 class TestSplitPhaseMisuse:
@@ -72,10 +72,10 @@ class TestSplitPhaseMisuse:
             # every thread notifies, so nothing deadlocks — the phase is
             # simply never closed with upc_wait
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2)
             prog.run(main)
-        findings = coll_findings(session)
+        findings = coll_findings(sess)
         assert len(findings) == 2  # one per thread
         assert all("without a matching upc_wait" in f.message for f in findings)
 
@@ -87,11 +87,11 @@ class TestSplitPhaseMisuse:
             else:
                 yield from upc.compute(0.0)
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2)
             with pytest.raises(UpcError, match="deadlock"):
                 prog.run(main)
-        findings = coll_findings(session)
+        findings = coll_findings(sess)
         assert len(findings) == 1
         assert "never completed" in findings[0].message
         assert "never notified" in findings[0].message
@@ -100,11 +100,11 @@ class TestSplitPhaseMisuse:
         def main(upc):
             yield from upc.barrier_wait()  # no notify first: UPC error
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2)
             with pytest.raises(Exception, match="upc_wait without upc_notify"):
                 prog.run(main)
-        findings = coll_findings(session)
+        findings = coll_findings(sess)
         assert findings
         assert "upc_wait without upc_notify" in findings[0].message
 
@@ -118,11 +118,11 @@ class TestCollectiveGate:
                 gate.submit("x", 0, None, lambda p: None)
             yield from upc.compute(0.0)
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2)
             with pytest.raises(Exception, match="submitted twice"):
                 prog.run(main)
-        findings = coll_findings(session)
+        findings = coll_findings(sess)
         assert any("submitted twice to collective 'x'" in f.message
                    for f in findings)
 
@@ -135,8 +135,8 @@ class TestCollectiveGate:
             yield from upc.barrier()
             return (arr.nelems, total)
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=4)
             res = prog.run(main)
         assert res.returns == [(8, 6)] * 4
-        assert session.findings == []
+        assert sess.findings == []

@@ -8,13 +8,13 @@ case that must stay silent.
 
 import pytest
 
-from repro.analyze import sanitize_session
+from repro.obs.session import session
 from repro.upc.pointers import LocalPointer, SharedPointer
 from tests.upc.conftest import make_program
 
 
-def priv_findings(session):
-    return [f for f in session.findings if f.checker == "privatization"]
+def priv_findings(sess):
+    return [f for f in sess.findings if f.checker == "privatization"]
 
 
 class TestAffinityCrossing:
@@ -27,10 +27,10 @@ class TestAffinityCrossing:
                 lp = SharedPointer(arr, 0).privatize(upc)
                 yield from (lp + 4).get(upc)
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2, nodes=1, threads_per_node=2)
             prog.run(main)
-        findings = priv_findings(session)
+        findings = priv_findings(sess)
         assert len(findings) == 1
         assert "affinity boundary" in findings[0].message
         assert findings[0].details["base_owner"] == 0
@@ -45,10 +45,10 @@ class TestAffinityCrossing:
                 yield from (lp + i).get(upc)
             yield from upc.barrier()
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2, nodes=1, threads_per_node=2)
             prog.run(main)
-        assert session.findings == []
+        assert sess.findings == []
 
 
 class TestSupernodeEscape:
@@ -63,10 +63,10 @@ class TestSupernodeEscape:
                 lp = LocalPointer(arr, 3, holder=0)  # owner: thread 1, other node
                 yield from lp.get(upc)
 
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2, nodes=2, threads_per_node=1)
             prog.run(main)
-        findings = priv_findings(session)
+        findings = priv_findings(sess)
         assert len(findings) == 1
         assert "castable supernode" in findings[0].message
 
@@ -93,13 +93,13 @@ class TestStalePointers:
             prog.run(self._main)
 
     def test_sanitizer_reports_stale_owner(self):
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(
                 threads=4, nodes=2, threads_per_node=2, faults=self.CRASH
             )
             with pytest.raises(Exception, match="stale privatized pointer"):
                 prog.run(self._main)
-        stale = [f for f in priv_findings(session)
+        stale = [f for f in priv_findings(sess)
                  if "killed by a fault plan" in f.message]
         assert len(stale) == 1
         assert stale[0].details["owner"] == 2

@@ -9,19 +9,19 @@ exist.
 
 import numpy as np
 
-from repro.analyze import NULL_SANITIZER, sanitize_session
+from repro.obs.session import NULL_SINK, session
 from tests.upc.conftest import make_program
 
 
 def run_sanitized(main, threads=2, **kwargs):
-    with sanitize_session("test") as session:
+    with session("test", sanitize=True) as sess:
         prog = make_program(threads=threads, **kwargs)
         res = prog.run(main)
-    return res, session
+    return res, sess
 
 
-def race_findings(session):
-    return [f for f in session.findings if f.checker == "race"]
+def race_findings(sess):
+    return [f for f in sess.findings if f.checker == "race"]
 
 
 class TestSeededRaces:
@@ -31,14 +31,14 @@ class TestSeededRaces:
             yield from arr.write_elem(upc, 0, float(upc.MYTHREAD))
             yield from upc.barrier()
 
-        res, session = run_sanitized(main)
-        races = race_findings(session)
+        res, sess = run_sanitized(main)
+        races = race_findings(sess)
         assert len(races) == 1
         f = races[0]
         assert f.threads == (0, 1)
         assert "data race" in f.message
         assert "write_elem" in f.message
-        assert res.findings == session.findings
+        assert res.findings == sess.findings
 
     def test_write_read_race_flagged(self):
         def main(upc):
@@ -49,8 +49,8 @@ class TestSeededRaces:
                 yield from arr.read_elem(upc, 3)
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main)
-        races = race_findings(session)
+        _res, sess = run_sanitized(main)
+        races = race_findings(sess)
         assert len(races) == 1
         assert "read_elem" in races[0].message
         assert "write_elem" in races[0].message
@@ -64,8 +64,8 @@ class TestSeededRaces:
                 yield from arr.write_elem(upc, 5, 0.0)
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main)
-        races = race_findings(session)
+        _res, sess = run_sanitized(main)
+        races = race_findings(sess)
         assert len(races) == 1
         assert "put_block" in races[0].message
         assert "write_elem" in races[0].message
@@ -79,8 +79,8 @@ class TestSeededRaces:
             yield from arr.write_elem(upc, 0, 1.0)
             yield from upc.barrier_wait()
 
-        _res, session = run_sanitized(main)
-        assert len(race_findings(session)) == 1
+        _res, sess = run_sanitized(main)
+        assert len(race_findings(sess)) == 1
 
     def test_sweep_race_deduplicated(self):
         # 8 racing elements, one finding: dedup is per (array, thread
@@ -91,8 +91,8 @@ class TestSeededRaces:
                 yield from arr.write_elem(upc, i, 1.0)
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main)
-        assert len(race_findings(session)) == 1
+        _res, sess = run_sanitized(main)
+        assert len(race_findings(sess)) == 1
 
 
 class TestSynchronizedClean:
@@ -106,8 +106,8 @@ class TestSynchronizedClean:
                 yield from arr.write_elem(upc, 0, 2.0)
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main)
-        assert session.findings == []
+        _res, sess = run_sanitized(main)
+        assert sess.findings == []
 
     def test_lock_protected_clean(self):
         def main(upc):
@@ -118,8 +118,8 @@ class TestSynchronizedClean:
             yield from lock.release(upc)
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main)
-        assert session.findings == []
+        _res, sess = run_sanitized(main)
+        assert sess.findings == []
 
     def test_notify_wait_ordered_clean(self):
         def main(upc):
@@ -132,8 +132,8 @@ class TestSynchronizedClean:
                 yield from arr.write_elem(upc, 0, 2.0)
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main)
-        assert session.findings == []
+        _res, sess = run_sanitized(main)
+        assert sess.findings == []
 
     def test_concurrent_reads_clean(self):
         def main(upc):
@@ -142,8 +142,8 @@ class TestSynchronizedClean:
             yield from arr.read_elem(upc, 0)
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main, threads=4)
-        assert session.findings == []
+        _res, sess = run_sanitized(main, threads=4)
+        assert sess.findings == []
 
     def test_disjoint_ranges_clean(self):
         def main(upc):
@@ -152,8 +152,8 @@ class TestSynchronizedClean:
             yield from arr.put_block(upc, start, np.zeros(4))
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main)
-        assert session.findings == []
+        _res, sess = run_sanitized(main)
+        assert sess.findings == []
 
 
 class TestArming:
@@ -164,7 +164,7 @@ class TestArming:
             yield from upc.barrier()
 
         prog = make_program(threads=2)
-        assert prog.sim.sanitizer is NULL_SANITIZER
+        assert prog.sim.sanitizer is NULL_SINK
         res = prog.run(main)
         assert res.findings == []
 
@@ -174,8 +174,8 @@ class TestArming:
             yield from arr.write_elem(upc, 0, 1.0)
             yield from upc.barrier()
 
-        _res, session = run_sanitized(main)
-        f = race_findings(session)[0]
+        _res, sess = run_sanitized(main)
+        f = race_findings(sess)[0]
         text = str(f)
         assert text.startswith("[race]")
         assert "threads={0,1}" in text

@@ -8,7 +8,7 @@ runtime deadlock (static and dynamic analyzers agree).
 
 import pytest
 
-from repro.analyze import sanitize_session
+from repro.obs.session import session
 from repro.analyze.static import analyze_source
 from repro.analyze.static.baseline import compare, load_baseline
 from repro.analyze.static.report import build_report, to_json
@@ -55,11 +55,11 @@ class TestAlignment:
         # the dynamic collective checker explains it the same way
         ns = {}
         exec(compile(MISALIGNED_BARRIER, "fix.py", "exec"), ns)
-        with sanitize_session("test") as session:
+        with session("test", sanitize=True) as sess:
             prog = make_program(threads=2)
             with pytest.raises(UpcError, match="deadlock"):
                 prog.run(ns["main"])
-        collective = [f for f in session.findings
+        collective = [f for f in sess.findings
                       if f.checker == "collective"]
         assert len(collective) == 1
         assert "never completed" in collective[0].message

@@ -89,11 +89,20 @@ class TestExecutors:
         parallel = QueueExecutor(3).run(specs)
         assert parallel.outputs == inline.outputs
 
-    def test_parallel_trace_renumbers_run_index(self):
+    @pytest.mark.parametrize("make", [InlineExecutor, lambda: QueueExecutor(2)],
+                             ids=["inline", "queue2"])
+    def test_parallel_trace_renumbers_run_index(self, make):
         specs = _toy_experiment().points("quick")
-        batch = QueueExecutor(2).run(specs, trace=True)
+        batch = make().run(specs, trace=True)
         assert [t.run_index for t in batch.tracers] == [1, 2, 3]
         assert all(t.sim is None for t in batch.tracers)
+
+    def test_sanitized_batch_same_inline_and_queued(self):
+        specs = _toy_experiment().points("quick")
+        inline = InlineExecutor().run(specs, sanitize=True)
+        queued = QueueExecutor(2).run(specs, sanitize=True)
+        assert queued.findings == inline.findings
+        assert queued.sanitizer_runs == inline.sanitizer_runs == len(specs)
 
 
 class TestCampaign:

@@ -86,16 +86,21 @@ class TestCli:
 
 
 class TestCliTracing:
-    def test_trace_writes_valid_json(self, tmp_path, capsys):
-        import json
-
-        from repro.obs.validate import validate_document
+    @pytest.mark.parametrize("experiment", ["t3_1", "f4_2"])
+    def test_trace_writes_valid_json(self, experiment, tmp_path, capsys):
+        from repro.obs.validate import main as validate_main
 
         target = tmp_path / "trace.json"
-        assert cli_main(["t3_1", "--trace", str(target)]) == 0
-        doc = json.loads(target.read_text())
-        assert validate_document(doc) == []
-        assert f"trace written to {target}" in capsys.readouterr().out
+        extra = ["--report-breakdown"] if experiment == "f4_2" else []
+        assert cli_main([experiment, "--no-cache", "--trace", str(target),
+                         *extra]) == 0
+        out = capsys.readouterr().out
+        assert f"trace written to {target}" in out
+        if extra:
+            assert "Simulated-time breakdown" in out
+        # the command-line validator, as `python -m repro.obs.validate`
+        assert validate_main([str(target)]) == 0
+        assert "valid trace" in capsys.readouterr().out
 
     def test_trace_rejects_multiple_experiments(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -113,3 +118,9 @@ class TestCliTracing:
         assert cli_main(["t3_1", "--trace", str(a)]) == 0
         assert cli_main(["t3_1", "--trace", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCliSanitize:
+    def test_sanitized_run_reports_zero_findings(self, capsys):
+        assert cli_main(["t3_1", "--no-cache", "--sanitize"]) == 0
+        assert "sanitizer: 0 finding(s)" in capsys.readouterr().out

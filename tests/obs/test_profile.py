@@ -15,7 +15,6 @@ from repro.obs.analytics import canonical_dumps
 from repro.obs.profile import (
     KNOWN_SITES,
     NO_PHASE,
-    NULL_PROFILER,
     PROFILE_SCHEMA,
     SITE_OTHER,
     CostProfiler,
@@ -23,15 +22,13 @@ from repro.obs.profile import (
     folded_lines,
     host_document,
     merge_snapshots,
-    profile_session,
-    profiler_for,
     site_for_callable,
     site_for_code,
     validate_profile,
     write_profiles,
 )
 from repro.obs.profile.__main__ import main as profile_main
-from repro.obs.profile.session import active_profile_session
+from repro.obs.session import NULL_SINK, attach, session
 from repro.sim.engine import Simulator
 from repro.upc.runtime import UpcProgram
 
@@ -45,9 +42,9 @@ def _app(upc):
 
 
 def _run_profiled(threads=4):
-    with profile_session("test") as session:
+    with session("test", profile=True) as sess:
         UpcProgram(threads=threads).run(_app)
-        return session.snapshot()
+    return sess.snapshot()
 
 
 class TestSites:
@@ -112,11 +109,11 @@ class TestCostProfiler:
         assert prof.tallies[(NO_PHASE, SITE_OTHER)] == [0, 0, 1]
 
     def test_null_profiler_is_inert(self):
-        assert not NULL_PROFILER.enabled
-        NULL_PROFILER.event_scheduled(None, True)
-        NULL_PROFILER.context_switch(None)
-        NULL_PROFILER.phase_started("x")
-        NULL_PROFILER.phase_ended("x")
+        assert not NULL_SINK.enabled
+        NULL_SINK.event_scheduled(None, True)
+        NULL_SINK.context_switch(None)
+        NULL_SINK.phase_started("x")
+        NULL_SINK.phase_ended("x")
 
 
 class TestEndToEndDeterminism:
@@ -151,27 +148,32 @@ class TestEndToEndDeterminism:
 
 
 class TestSession:
+    @staticmethod
+    def _profiler():
+        sim = Simulator()
+        attach(sim, "x")
+        return sim.profiler
+
     def test_profiler_for_null_outside_session(self):
-        assert active_profile_session() is None
-        assert profiler_for(Simulator()) is NULL_PROFILER
+        assert self._profiler() is NULL_SINK
 
     def test_profiler_for_shared_inside_session(self):
-        with profile_session("s") as session:
-            assert active_profile_session() is session
-            assert profiler_for(Simulator()) is session.cost
-        assert active_profile_session() is None
+        with session("s", profile=True) as sess:
+            first, second = self._profiler(), self._profiler()
+            assert first is second is sess.cost
+        assert self._profiler() is NULL_SINK
 
     def test_sessions_do_not_nest(self):
-        with profile_session("outer"):
+        with session("outer", profile=True):
             with pytest.raises(RuntimeError, match="already active"):
-                with profile_session("inner"):
+                with session("inner", profile=True):
                     pass
 
     def test_constructed_program_attaches_session_profiler(self):
-        with profile_session("s") as session:
+        with session("s", profile=True) as sess:
             program = UpcProgram(threads=2)
-            assert program.sim.profiler is session.cost
-        assert UpcProgram(threads=2).sim.profiler is NULL_PROFILER
+            assert program.sim.profiler is sess.cost
+        assert UpcProgram(threads=2).sim.profiler is NULL_SINK
 
 
 class TestReport:

@@ -206,6 +206,58 @@ class TestProcesses:
         assert ran == ["mid"]
         assert p.done
 
+    def test_kill_leaves_other_event_waiters_waiting(self, sim):
+        ev = sim.event()
+        woke = []
+
+        def waiter(sim, ev, name):
+            woke.append((name, (yield ev)))
+
+        victim = sim.spawn(waiter(sim, ev, "victim"))
+        sim.spawn(waiter(sim, ev, "survivor"))
+        sim.run(until=1.0)
+        victim.kill()
+        sim.schedule_at(2.0, ev.succeed, "go")
+        sim.run()
+        assert woke == [("survivor", "go")]
+        assert sim.stalled_processes() == []
+
+    def test_kill_leaves_child_and_other_joiner_running(self, sim):
+        def child(sim):
+            yield sim.delay(5.0)
+            return "done"
+
+        joined = []
+
+        def joiner(sim, p, name):
+            joined.append((name, (yield p)))
+
+        kid = sim.spawn(child(sim))
+        victim = sim.spawn(joiner(sim, kid, "victim"))
+        sim.spawn(joiner(sim, kid, "survivor"))
+        sim.run(until=1.0)
+        victim.kill()
+        sim.run()
+        assert kid.result == "done"
+        assert joined == [("survivor", "done")]
+        assert sim.stalled_processes() == []
+
+    def test_kill_only_joiner_leaves_child_running(self, sim):
+        def child(sim):
+            yield sim.delay(5.0)
+            return "done"
+
+        def joiner(sim, p):
+            yield p
+
+        kid = sim.spawn(child(sim))
+        victim = sim.spawn(joiner(sim, kid))
+        sim.run(until=1.0)
+        victim.kill()
+        sim.run()
+        assert kid.result == "done"
+        assert sim.stalled_processes() == []
+
     def test_zero_delay_runs_in_order(self, sim):
         order = []
 
