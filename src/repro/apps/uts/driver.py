@@ -9,7 +9,10 @@ stacks empty, nothing in transit).
 
 Costs charged per the thesis's implementation:
 
-* node expansion — ``node_work`` seconds each (the SHA-1 evaluation);
+* node expansion — ``node_work`` seconds each (the reference UTS's
+  SHA-1 evaluation; the simulation itself reads a node's children off
+  the tree :func:`~repro.apps.uts.tree.build_tree` made once per run,
+  and a :data:`~repro.apps.uts.tree.Node` is an int index);
 * victim *discovery* — a cache-coherent metadata read for castable peers
   (through the pre-built pointer table), a remote 8-byte ``upc_memget``
   otherwise;
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.apps.uts.stealstack import NODE_BYTES, StealStack
-from repro.apps.uts.tree import TreeParams, count_tree, expand, root_node
+from repro.apps.uts.tree import (ROOT, Tree, TreeParams, build_tree, count_tree,
+                                 expand)
 from repro.errors import EndpointFailedError
 from repro.machine.presets import PlatformPreset, pyramid
 from repro.obs import names
@@ -87,14 +91,14 @@ class _Global:
             self.lost_nodes += count
 
 
-def _worker(upc, cfg: UtsConfig, params: TreeParams,
+def _worker(upc, cfg: UtsConfig, tree: Tree,
             stacks: List[StealStack], glob: _Global):
     me = upc.MYTHREAD
     ss = stacks[me]
     group = yield from shared_memory_group(upc)
     local_set = set(group.members)
     if me == 0:
-        ss.push([root_node(params)])
+        ss.push([ROOT])
     yield from upc.barrier()
     t0 = upc.wtime()
 
@@ -104,7 +108,7 @@ def _worker(upc, cfg: UtsConfig, params: TreeParams,
             chunk = ss.pop_chunk(cfg.process_chunk)
             children: list = []
             for node in chunk:
-                children.extend(expand(params, node))
+                children.extend(expand(tree, node))
             ss.push(children)
             ss.nodes_processed += len(chunk)
             yield from upc.compute(len(chunk) * cfg.node_work)
@@ -278,9 +282,9 @@ def run_uts(
 ) -> Dict:
     """Run UTS under one stealing policy; returns the run's metrics.
 
-    Node counts are verified against a sequential traversal unless
-    ``config.verify`` is off.  ``faults`` takes a
-    :class:`~repro.faults.FaultPlan` (or spec string); with faults
+    Node counts are verified against :func:`count_tree`, which rebuilds
+    the tree from ``tree``, unless ``config.verify`` is off.  ``faults``
+    takes a :class:`~repro.faults.FaultPlan` (or spec string); with faults
     injected the exact-count invariant is replaced by conservation of
     *accounted* work — every materialized node is either processed or
     explicitly written off as lost — and the report carries the fault,
@@ -311,7 +315,9 @@ def run_uts(
         # already killed (and their locks recovered) when this runs.
         prog.faults.on_crash(on_crash)
 
-    res = prog.run(_worker, cfg, tree, stacks, glob)
+    # The tree is built once and shared by every thread; the check
+    # below counts a tree rebuilt from its parameters, not this one.
+    res = prog.run(_worker, cfg, build_tree(tree), stacks, glob)
 
     # Per-thread counters live on the stacks, so dead threads' completed
     # work (their processes returned None) is still accounted.

@@ -3,12 +3,13 @@
 The owner does depth-first work on the head; thieves take from the tail
 under the stack's lock.  Data-plane operations are instantaneous (the
 simulation charges time separately); this class also accumulates the
-per-thread statistics Table 3.2 reports.
+per-thread statistics Table 3.2 reports.  A stacked node is an int
+index into the run's prebuilt tree (:mod:`repro.apps.uts.tree`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.apps.uts.tree import Node
 
@@ -16,6 +17,8 @@ __all__ = ["StealStack"]
 
 #: Serialized size of one tree node in the shared steal-stack:
 #: 20-byte SHA-1 state + height + metadata, as in the reference UTS.
+#: The simulation stacks int indices, but a steal is still charged for
+#: moving these bytes per node.
 NODE_BYTES = 28
 
 

@@ -1,8 +1,8 @@
-"""UTS tree definition: implicit random trees over a splittable RNG.
+"""UTS tree definition: random trees over a splittable RNG, built once.
 
-A tree node is ``(rng, depth)``; its child count is a deterministic
-function of the node's RNG draw, and child *i*'s RNG is ``rng.child(i)``.
-Two standard shapes:
+Every node of a UTS tree owns a splittable RNG state; its child count is
+a deterministic function of that state, and child *i*'s state is
+``rng.child(i)``.  Two standard shapes:
 
 * **binomial** — the root has ``b0`` children; every other node has ``m``
   children with probability ``q`` and none otherwise.  With ``q·m ≈ 1``
@@ -11,20 +11,34 @@ Two standard shapes:
 * **geometric** — branching factor drawn geometrically with mean ``b0``,
   cut off at ``max_depth``.
 
-The reference UTS uses SHA-1 for splitting; ``algorithm="mix"`` swaps in
-splitmix64 for speed at identical shape statistics (see
-:mod:`repro.sim.rng`).
+The shape is a pure function of :class:`TreeParams`, so :func:`build_tree`
+materializes the whole tree once, in breadth-first order, as a
+:class:`Tree`: an int32 ``offsets`` array with n+1 entries, where the
+children of node ``i`` are ``offsets[i]:offsets[i+1]``.  A :data:`Node` is
+an int index (the root is :data:`ROOT`), so :func:`expand` is slice
+arithmetic and traversing the tree touches no RNG.
+
+Binomial trees with ``algorithm="mix"`` (splitmix64, every experiment's
+choice) are built a level at a time with splitmix64 vectorized over numpy
+``uint64`` arrays.  The reference UTS splits with SHA-1
+(``algorithm="sha1"``); SHA-1 and geometric trees, which no experiment
+uses, are built node by node by :func:`build_tree_scalar`, which is also
+the reference the vectorized builder is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.sim.rng import SplittableRNG
+import numpy as np
 
-__all__ = ["TreeParams", "Node", "root_node", "expand", "count_tree",
-           "paper_tree", "small_tree"]
+from repro.sim.rng import SplittableRNG, child_states_array, random_array
+
+__all__ = ["TreeParams", "Tree", "Node", "ROOT", "build_tree",
+           "build_tree_scalar", "expand", "count_tree", "paper_tree",
+           "small_tree"]
 
 
 @dataclass(frozen=True)
@@ -48,12 +62,80 @@ class TreeParams:
             raise ValueError("b0 and m must be non-negative")
 
 
-#: A tree node: (rng, depth).
-Node = Tuple[SplittableRNG, int]
+#: A tree node: its index in breadth-first order.
+Node = int
+
+#: The root's index.
+ROOT: Node = 0
+
+#: int32 offsets hold at most this many nodes.
+_MAX_NODES = int(np.iinfo(np.int32).max)
 
 
-def root_node(params: TreeParams) -> Node:
-    return (SplittableRNG(seed=params.seed, algorithm=params.algorithm), 0)
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One materialized tree: node ``i``'s children are the indices
+    ``offsets[i]:offsets[i+1]`` (int32, breadth-first order)."""
+
+    offsets: np.ndarray
+    depth: int  #: depth of the deepest node (the root is depth 0)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+
+def expand(tree: Tree, node: Node) -> range:
+    """Children of ``node``: a range of node indices."""
+    offsets = tree.offsets
+    return range(offsets[node], offsets[node + 1])
+
+
+def _check_limit(total: int, limit: int) -> None:
+    if total > limit:
+        raise RuntimeError(f"tree exceeds limit of {limit} nodes")
+
+
+def build_tree(params: TreeParams, limit: Optional[int] = None) -> Tree:
+    """Materialize the tree ``params`` describes.
+
+    ``limit`` aborts the build once the tree has more than that many
+    nodes (guards against parameter choices with runaway supercritical
+    growth); it is checked a level at a time, before the next level is
+    allocated.
+    """
+    limit = _MAX_NODES if limit is None else min(limit, _MAX_NODES)
+    if params.kind == "binomial" and params.algorithm == "mix":
+        return _build_binomial_mix(params, limit)
+    return build_tree_scalar(params, limit)
+
+
+def _build_binomial_mix(params: TreeParams, limit: int) -> Tree:
+    """Vectorized builder: one uint64 array of RNG states per level."""
+    root = SplittableRNG(seed=params.seed, algorithm="mix").fingerprint()
+    level = np.array([root], dtype=np.uint64)
+    fertile = np.ones(1, dtype=bool)
+    masks = []              # per level, which nodes have children
+    width = params.b0       # children of each fertile node on this level
+    total, depth = 1, 0
+    while True:
+        masks.append(fertile)
+        born = int(np.count_nonzero(fertile)) * width
+        if not born:
+            break
+        total += born
+        _check_limit(total, limit)
+        level = child_states_array(level[fertile], range(width)).ravel()
+        depth += 1
+        # The child-count draw uses the dedicated child(-1) stream.
+        fertile = random_array(child_states_array(level, [-1]).ravel()) < params.q
+        width = params.m
+    offsets = np.empty(total + 1, dtype=np.int32)
+    offsets[0] = 1
+    np.concatenate(masks, out=offsets[1:])
+    offsets[1] = params.b0
+    offsets[2:] *= params.m
+    np.cumsum(offsets, out=offsets)
+    return Tree(offsets, depth)
 
 
 def _num_children(params: TreeParams, rng: SplittableRNG, depth: int) -> int:
@@ -67,39 +149,43 @@ def _num_children(params: TreeParams, rng: SplittableRNG, depth: int) -> int:
         return 0
     u = rng.random()
     # geometric with success prob p = 1/(1+b0): mean b0
-    import math
-
     p = 1.0 / (1.0 + params.b0)
     k = int(math.log(max(u, 1e-300)) / math.log(1.0 - p))
     return min(k, params.b0 * 4)
 
 
-def expand(params: TreeParams, node: Node) -> List[Node]:
-    """Children of ``node`` (deterministic)."""
-    rng, depth = node
-    # Child-count draw uses a dedicated child stream so that expanding a
-    # node never perturbs the RNG states handed to its children.
-    n = _num_children(params, rng.child(-1), depth)
-    return [(rng.child(i), depth + 1) for i in range(n)]
+def build_tree_scalar(params: TreeParams, limit: Optional[int] = None) -> Tree:
+    """Node-by-node builder over :class:`SplittableRNG` objects.
+
+    Builds any tree; :func:`build_tree` uses it for SHA-1 and geometric
+    trees.  ``limit`` as for :func:`build_tree`.
+    """
+    limit = _MAX_NODES if limit is None else min(limit, _MAX_NODES)
+    level = [SplittableRNG(seed=params.seed, algorithm=params.algorithm)]
+    counts = []
+    total, depth = 1, 0
+    while True:
+        # Child-count draw uses a dedicated child stream so that expanding
+        # a node never perturbs the RNG states handed to its children.
+        born = [_num_children(params, rng.child(-1), depth) for rng in level]
+        counts.extend(born)
+        total += sum(born)
+        _check_limit(total, limit)
+        level = [rng.child(i) for rng, n in zip(level, born) for i in range(n)]
+        if not level:
+            break
+        depth += 1
+    offsets = 1 + np.concatenate(([0], np.cumsum(counts)))
+    return Tree(offsets.astype(np.int32), depth)
 
 
 def count_tree(params: TreeParams, limit: Optional[int] = None) -> Tuple[int, int]:
-    """Sequential traversal: returns ``(total_nodes, max_depth)``.
+    """``(total_nodes, max_depth)`` of a freshly built tree.
 
-    ``limit`` aborts counting beyond that many nodes (guards against
-    parameter choices with runaway supercritical growth).
+    ``limit`` as for :func:`build_tree`.
     """
-    stack = [root_node(params)]
-    count = 0
-    max_depth = 0
-    while stack:
-        node = stack.pop()
-        count += 1
-        max_depth = max(max_depth, node[1])
-        if limit is not None and count > limit:
-            raise RuntimeError(f"tree exceeds limit of {limit} nodes")
-        stack.extend(expand(params, node))
-    return count, max_depth
+    tree = build_tree(params, limit)
+    return len(tree), tree.depth
 
 
 def paper_tree(algorithm: str = "mix", seed: int = 42) -> TreeParams:

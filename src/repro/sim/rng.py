@@ -10,7 +10,10 @@ the statistical properties the benchmark relies on.
 A faster non-cryptographic mode (``algorithm="mix"``, splitmix64-based) is
 provided for large benchmark runs where hashing dominates wall time; the
 tree *shape distribution* is statistically equivalent, though individual
-trees differ from the SHA-1 ones.
+trees differ from the SHA-1 ones.  :func:`splitmix64_array`,
+:func:`child_states_array` and :func:`random_array` apply the ``"mix"``
+mode to whole numpy ``uint64`` arrays of states at once; UTS builds its
+trees a level at a time with them (:mod:`repro.apps.uts.tree`).
 """
 
 from __future__ import annotations
@@ -18,9 +21,17 @@ from __future__ import annotations
 import hashlib
 import struct
 
-__all__ = ["SplittableRNG", "splitmix64"]
+__all__ = ["SplittableRNG", "child_states_array", "random_array",
+           "splitmix64", "splitmix64_array"]
 
 _MASK64 = (1 << 64) - 1
+#: splitmix64's increment (the golden ratio) and its two mixing
+#: multipliers, shared by the scalar and the array versions.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+#: Scales the top 53 bits of an output to a float in [0, 1).
+_UNIT = 1.0 / (1 << 53)
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -28,12 +39,44 @@ def splitmix64(state: int) -> tuple[int, int]:
 
     Returns ``(new_state, output)``.  Both are 64-bit unsigned ints.
     """
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GOLDEN) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     z = z ^ (z >> 31)
     return state, z
+
+
+def splitmix64_array(states):
+    """:func:`splitmix64` applied to each element of a numpy ``uint64``
+    array; returns ``(new_states, outputs)``.  uint64 arithmetic wraps
+    like the scalar ``& _MASK64``."""
+    import numpy as np  # only array callers pay for numpy
+
+    u64 = np.uint64
+    states = states + u64(_GOLDEN)
+    z = (states ^ (states >> u64(30))) * u64(_MIX1)
+    z = (z ^ (z >> u64(27))) * u64(_MIX2)
+    return states, z ^ (z >> u64(31))
+
+
+def child_states_array(states, indices):
+    """``SplittableRNG.child`` of ``"mix"`` RNGs, vectorized: entry
+    ``[i, j]`` is the state of child ``indices[j]`` of an RNG in state
+    ``states[i]``."""
+    import numpy as np
+
+    keys = np.array([((i + 1) * _GOLDEN) & _MASK64 for i in indices],
+                    dtype=np.uint64)
+    return splitmix64_array(states[:, None] ^ keys[None, :])[1]
+
+
+def random_array(states):
+    """The first ``random()`` draw of a ``"mix"`` RNG in each state."""
+    import numpy as np
+
+    _, out = splitmix64_array(states)
+    return (out >> np.uint64(11)).astype(np.float64) * _UNIT
 
 
 class SplittableRNG:
@@ -72,7 +115,7 @@ class SplittableRNG:
         if self.algorithm == "sha1":
             digest = hashlib.sha1(self._state + struct.pack("<q", index)).digest()
             return SplittableRNG(algorithm="sha1", _state=digest)
-        state = (self._state ^ ((index + 1) * 0x9E3779B97F4A7C15)) & _MASK64
+        state = (self._state ^ ((index + 1) * _GOLDEN)) & _MASK64
         _, mixed = splitmix64(state)
         return SplittableRNG(algorithm="mix", _state=mixed)
 
@@ -85,7 +128,7 @@ class SplittableRNG:
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self._next_u64() >> 11) * (1.0 / (1 << 53))
+        return (self._next_u64() >> 11) * _UNIT
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive (modulo bias is
@@ -107,7 +150,8 @@ class SplittableRNG:
             seq[i], seq[j] = seq[j], seq[i]
 
     def fingerprint(self) -> int:
-        """A stable 64-bit fingerprint of the current state (for tests)."""
+        """A stable 64-bit fingerprint of the current state (in ``"mix"``
+        mode, the state itself)."""
         if self.algorithm == "sha1":
             return struct.unpack("<Q", self._state[:8])[0]
         return self._state

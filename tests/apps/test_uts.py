@@ -1,5 +1,9 @@
 """Tests for UTS: tree determinism, work conservation, policy shapes."""
 
+import collections
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +17,8 @@ from repro.apps.uts import (
     small_tree,
 )
 from repro.apps.uts.stealstack import StealStack
-from repro.apps.uts.tree import root_node
+from repro.apps.uts.tree import ROOT, _num_children, build_tree, build_tree_scalar
+from repro.sim.rng import SplittableRNG
 
 
 class TestTree:
@@ -26,10 +31,10 @@ class TestTree:
             TreeParams(b0=-1)
 
     def test_root_has_b0_children(self):
-        params = TreeParams(b0=17, q=0.0)
-        children = expand(params, root_node(params))
-        assert len(children) == 17
-        assert all(depth == 1 for _rng, depth in children)
+        tree = build_tree(TreeParams(b0=17, q=0.0))
+        children = expand(tree, ROOT)
+        assert list(children) == list(range(1, 18))
+        assert all(len(expand(tree, child)) == 0 for child in children)
 
     def test_q_zero_tree_is_star(self):
         params = TreeParams(b0=10, q=0.0)
@@ -41,11 +46,10 @@ class TestTree:
 
     def test_expansion_is_repeatable(self):
         params = small_tree("tiny")
-        node = root_node(params)
-        a = expand(params, node)
-        b = expand(params, node)
-        assert len(a) == len(b)
-        assert [r.fingerprint() for r, _ in a] == [r.fingerprint() for r, _ in b]
+        tree = build_tree(params)
+        a = [list(expand(tree, node)) for node in range(len(tree))]
+        b = [list(expand(build_tree(params), node)) for node in range(len(tree))]
+        assert a == b
 
     def test_sha1_and_mix_trees_both_work(self):
         for algo in ("sha1", "mix"):
@@ -62,6 +66,29 @@ class TestTree:
         params = TreeParams(b0=1000, q=0.2, m=8, seed=1)  # supercritical
         with pytest.raises(RuntimeError, match="limit"):
             count_tree(params, limit=10_000)
+        with pytest.raises(RuntimeError, match="limit"):
+            build_tree_scalar(params, limit=10_000)
+
+    def test_limit_is_exact(self):
+        n, _ = count_tree(small_tree("tiny"))
+        assert count_tree(small_tree("tiny"), limit=n)[0] == n
+        with pytest.raises(RuntimeError, match="limit"):
+            count_tree(small_tree("tiny"), limit=n - 1)
+
+    def test_limit_raises_before_the_next_level_is_allocated(self):
+        """An infinite tree (q=1) has levels of 1000, 8000 and 64000
+        nodes within the limit; the 512000-node level that passes it must
+        never be allocated."""
+        params = TreeParams(b0=1000, q=1.0, m=8, seed=1)
+        next_level_bytes = 512_000 * np.dtype(np.uint64).itemsize
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="limit"):
+                count_tree(params, limit=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < next_level_bytes
 
     def test_unknown_size_target(self):
         with pytest.raises(ValueError):
@@ -72,16 +99,71 @@ class TestTree:
     def test_count_independent_of_traversal_order(self, seed):
         """BFS and DFS agree on the node count (tree is well-defined)."""
         params = TreeParams(b0=20, q=0.11, m=8, seed=seed)
-        import collections
-
-        dfs, _ = count_tree(params, limit=200_000)
-        queue = collections.deque([root_node(params)])
-        bfs = 0
+        tree = build_tree(params, limit=200_000)
+        stack, dfs = [ROOT], 0
+        while stack:
+            dfs += 1
+            stack.extend(expand(tree, stack.pop()))
+        queue, bfs = collections.deque([ROOT]), 0
         while queue:
-            node = queue.popleft()
             bfs += 1
-            queue.extend(expand(params, node))
-        assert bfs == dfs
+            queue.extend(expand(tree, queue.popleft()))
+        assert bfs == dfs == count_tree(params, limit=200_000)[0]
+
+
+def _per_node_child_counts(params):
+    """Child counts in breadth-first order, one RNG object per node."""
+    root = SplittableRNG(seed=params.seed, algorithm=params.algorithm)
+    queue, counts = collections.deque([(root, 0)]), []
+    while queue:
+        rng, depth = queue.popleft()
+        n = _num_children(params, rng.child(-1), depth)
+        counts.append(n)
+        queue.extend((rng.child(i), depth + 1) for i in range(n))
+    return counts
+
+
+def _assert_same_tree(fast, slow):
+    assert np.array_equal(np.diff(fast.offsets), np.diff(slow.offsets))
+    assert len(fast) == len(slow)
+    assert fast.depth == slow.depth
+
+
+class TestVectorizedBuilder:
+    """The vectorized binomial builder against the node-by-node one."""
+
+    @given(b0=st.integers(0, 60), q=st.floats(0.0, 0.13), m=st.integers(0, 8),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_reference(self, b0, q, m, seed):
+        params = TreeParams(b0=b0, q=q, m=m, seed=seed)
+        try:
+            slow = build_tree_scalar(params, limit=20_000)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="limit"):
+                build_tree(params, limit=20_000)
+            return
+        _assert_same_tree(build_tree(params, limit=20_000), slow)
+
+    def test_matches_scalar_reference_on_a_deep_tree(self):
+        params = small_tree("small")
+        tree = build_tree(params)
+        assert tree.offsets.dtype == np.int32
+        assert tree.offsets[-1] == len(tree)
+        _assert_same_tree(tree, build_tree_scalar(params))
+
+    @pytest.mark.parametrize("params", [
+        small_tree("tiny"),
+        TreeParams(b0=30, q=0.12, m=8, seed=5, algorithm="sha1"),
+        TreeParams(kind="geometric", b0=3, max_depth=4, seed=2),
+        TreeParams(kind="geometric", b0=2, max_depth=5, seed=9,
+                   algorithm="sha1"),
+    ], ids=["mix", "sha1", "geometric", "geometric-sha1"])
+    def test_scalar_builder_matches_per_node_expansion(self, params):
+        tree = build_tree(params, limit=100_000)
+        _assert_same_tree(tree, build_tree_scalar(params, limit=100_000))
+        counts = _per_node_child_counts(params)
+        assert np.diff(tree.offsets).tolist() == counts
 
 
 class TestStealStack:

@@ -120,3 +120,25 @@ class TestSigkillThenResume:
             journal_dir=str(tmp_path / "journals"),
         )
         assert result.render() == inline_report
+        failed = [e for e in journal_events(tmp_path / "journals")
+                  if e.get("e") == "failed"]
+        assert sorted(e["p"] for e in failed) == [0, 3]
+        assert all("SIGKILL" in e["error"] for e in failed)
+
+
+class TestPoisonPointViaCli:
+    def test_quarantined_point_renders_a_degraded_report(self, tmp_path):
+        journal_dir = tmp_path / "journals"
+        out = tmp_path / "poison.md"
+        proc = harness_cli(
+            ["t3_1", "--no-cache", "--jobs", "2",
+             "--journal-dir", str(journal_dir), "--max-attempts", "2",
+             "--chaos", "fail:point=1", "--out", str(out)],
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 1, proc.stderr
+        events = journal_events(journal_dir)
+        assert [e["p"] for e in events if e.get("e") == "quarantined"] == [1]
+        report = out.read_text()
+        assert "Failed points (quarantined after retries):" in report
+        assert "degraded campaign: 3/4 point(s) completed" in report

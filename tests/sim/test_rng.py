@@ -1,10 +1,19 @@
 """Unit and property tests for the splittable RNG."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import SplittableRNG, splitmix64
+from repro.sim.rng import (
+    SplittableRNG,
+    child_states_array,
+    random_array,
+    splitmix64,
+    splitmix64_array,
+)
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 class TestSplitmix64:
@@ -15,11 +24,37 @@ class TestSplitmix64:
         assert 0 <= out1 < 2**64
         assert s != 0
 
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @given(_U64)
     def test_outputs_in_range(self, state):
         new_state, out = splitmix64(state)
         assert 0 <= new_state < 2**64
         assert 0 <= out < 2**64
+
+    @given(st.lists(_U64, max_size=20).map(lambda xs: xs + [0, 2**64 - 1]))
+    def test_array_version_matches_scalar(self, states):
+        new_states, outs = splitmix64_array(np.array(states, dtype=np.uint64))
+        expected = [splitmix64(s) for s in states]
+        assert new_states.tolist() == [s for s, _ in expected]
+        assert outs.tolist() == [out for _, out in expected]
+
+
+class TestArraySplitting:
+    """The vectorized ``"mix"`` splitting against ``SplittableRNG``."""
+
+    @given(seeds=st.lists(_U64, min_size=1, max_size=8),
+           indices=st.lists(st.integers(-1, 5000), min_size=1, max_size=8))
+    def test_child_states_match_child(self, seeds, indices):
+        rngs = [SplittableRNG(seed=s, algorithm="mix") for s in seeds]
+        states = np.array([r.fingerprint() for r in rngs], dtype=np.uint64)
+        got = child_states_array(states, indices)
+        assert got.tolist() == [[r.child(i).fingerprint() for i in indices]
+                                for r in rngs]
+
+    @given(st.lists(_U64, min_size=1, max_size=8))
+    def test_random_matches_first_draw(self, seeds):
+        rngs = [SplittableRNG(seed=s, algorithm="mix") for s in seeds]
+        states = np.array([r.fingerprint() for r in rngs], dtype=np.uint64)
+        assert random_array(states).tolist() == [r.random() for r in rngs]
 
 
 @pytest.mark.parametrize("algorithm", ["sha1", "mix"])
